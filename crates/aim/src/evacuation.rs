@@ -141,12 +141,7 @@ impl EvacuationPlanner {
                 step: self.scheduler_config.search_step,
                 deadline: earliest + self.scheduler_config.max_delay,
             };
-            let chosen = if self.scheduler_config.probe {
-                seeker.linear(&mut scratch)
-            } else {
-                seeker.seek(None, &mut scratch)
-            };
-            let (profile, occupancy) = chosen.unwrap_or_else(|| {
+            let (profile, occupancy) = seeker.seek(&mut scratch).unwrap_or_else(|| {
                 // Pull over: brake to a stop without planning through
                 // anyone already parked.
                 crate::reservation::park_fallback(

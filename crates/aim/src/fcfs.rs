@@ -70,13 +70,7 @@ impl FcfsScheduler {
             step: self.config.search_step,
             deadline: target + self.config.max_delay,
         };
-        let chosen = if self.config.probe {
-            seeker.linear(&mut self.scratch)
-        } else {
-            seeker.seek(None, &mut self.scratch)
-        };
-
-        let (profile, occupancy) = chosen.unwrap_or_else(|| {
+        let (profile, occupancy) = seeker.seek(&mut self.scratch).unwrap_or_else(|| {
             crate::reservation::park_fallback(
                 movement,
                 req.position_s,

@@ -1,15 +1,14 @@
 //! Property tests over the scheduler's public API: every plan it emits
 //! must be physically lawful and mutually safe, for arbitrary request
-//! streams — plus differential properties pinning the slot-seeking
-//! search to the retained linear probe loop, and the sorted reservation
-//! table to a brute-force reference.
+//! streams — plus a differential property pinning the sorted
+//! reservation table to a brute-force reference. The slot-seeking
+//! search is pinned to the linear probe loop in `seek.rs`.
 
-use nwade_aim::evacuation::EvacuationConfig;
 use nwade_aim::{
-    find_conflicts, occupancy_of, EvacuationPlanner, FcfsScheduler, PlanRequest,
-    ReservationScheduler, ReservationTable, Scheduler, SchedulerConfig, TrafficLightScheduler,
+    find_conflicts, occupancy_of, FcfsScheduler, PlanRequest, ReservationScheduler,
+    ReservationTable, Scheduler, SchedulerConfig, TrafficLightScheduler,
 };
-use nwade_geometry::{TimeInterval, Vec2};
+use nwade_geometry::TimeInterval;
 use nwade_intersection::{build, GeometryConfig, IntersectionKind, MovementId, Topology, ZoneId};
 use nwade_traffic::{VehicleDescriptor, VehicleId};
 use proptest::prelude::*;
@@ -206,110 +205,6 @@ proptest! {
                 }
             }
         }
-    }
-}
-
-/// Runs a request stream through a scheduler, one request per batch,
-/// returning the canonical encodings of every emitted plan.
-fn plans_encoded<S: Scheduler>(mut s: S, stream: &[(usize, f64, f64)]) -> Vec<Vec<u8>> {
-    let mut clock = 0.0;
-    let mut out = Vec::new();
-    for (i, (movement, speed, gap)) in stream.iter().enumerate() {
-        clock += gap;
-        out.extend(
-            s.schedule(&[request(i as u64, movement % 16, *speed)], clock)
-                .iter()
-                .map(nwade_aim::TravelPlan::encode),
-        );
-    }
-    out
-}
-
-fn probe_config() -> SchedulerConfig {
-    SchedulerConfig {
-        probe: true,
-        ..SchedulerConfig::default()
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The slot-seeking search and the retained linear probe loop emit
-    /// bit-identical plans for arbitrary request streams — reservation
-    /// scheduler and FCFS baseline alike.
-    #[test]
-    fn probe_and_seek_schedule_identically(
-        stream in proptest::collection::vec(
-            (0usize..16, 5.0..22.0f64, 1.5..8.0f64), 1..15)
-    ) {
-        let topo = topo();
-        prop_assert_eq!(
-            plans_encoded(
-                ReservationScheduler::new(topo.clone(), SchedulerConfig::default()),
-                &stream,
-            ),
-            plans_encoded(ReservationScheduler::new(topo.clone(), probe_config()), &stream)
-        );
-        prop_assert_eq!(
-            plans_encoded(FcfsScheduler::new(topo.clone(), SchedulerConfig::default()), &stream),
-            plans_encoded(FcfsScheduler::new(topo, probe_config()), &stream)
-        );
-    }
-
-    /// The parallel first-probe pre-pass never changes the plans, and
-    /// neither does the worker count.
-    #[test]
-    fn prepass_threads_do_not_change_plans(
-        stream in proptest::collection::vec(
-            (0usize..16, 5.0..22.0f64), 2..20)
-    ) {
-        let topo = topo();
-        let batch: Vec<PlanRequest> = stream
-            .iter()
-            .enumerate()
-            .map(|(i, (movement, speed))| request(i as u64, movement % 16, *speed))
-            .collect();
-        let run = |threads: usize| {
-            let cfg = SchedulerConfig { threads, ..SchedulerConfig::default() };
-            let mut s = ReservationScheduler::new(topo.clone(), cfg);
-            s.schedule(&batch, 0.0)
-                .iter()
-                .map(nwade_aim::TravelPlan::encode)
-                .collect::<Vec<_>>()
-        };
-        let serial = run(1);
-        prop_assert_eq!(run(2), serial.clone());
-        prop_assert_eq!(run(8), serial);
-    }
-
-    /// Evacuation replanning is probe/seek identical too.
-    #[test]
-    fn evacuation_probe_and_seek_identical(
-        vehicles in proptest::collection::vec(
-            (0usize..16, 0.0..80.0f64, 3.0..18.0f64), 1..8),
-        threat_x in -40.0..40.0f64,
-        threat_y in -40.0..40.0f64,
-    ) {
-        let topo = topo();
-        let reqs: Vec<PlanRequest> = vehicles
-            .iter()
-            .enumerate()
-            .map(|(i, (movement, s, v))| {
-                let mut r = request(i as u64, movement % 16, *v);
-                r.position_s = *s;
-                r
-            })
-            .collect();
-        let threats = [Vec2::new(threat_x, threat_y)];
-        let run = |cfg: SchedulerConfig| {
-            EvacuationPlanner::new(topo.clone(), cfg, EvacuationConfig::default())
-                .plan(&reqs, &threats, 5.0)
-                .iter()
-                .map(nwade_aim::TravelPlan::encode)
-                .collect::<Vec<_>>()
-        };
-        prop_assert_eq!(run(SchedulerConfig::default()), run(probe_config()));
     }
 }
 

@@ -1,23 +1,21 @@
-//! Tick-engine microbenchmarks: per-tick and per-sense-pass cost over a
-//! prespawned fleet for each execution variant. The full density sweep
-//! (and the committed baseline) lives in `expgen perf`; this bench is
-//! the quick interactive view.
+//! Tick microbenchmarks: per-tick, per-sense-pass and per-window cost
+//! over a prespawned fleet. The full density sweep (and the committed
+//! baseline) lives in `expgen perf`; this bench is the quick interactive
+//! view.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nwade_bench::perf::{fleet_config, VARIANTS};
-use nwade_sim::{EngineChoice, SignatureChoice, Simulation};
+use nwade_bench::perf::fleet_config;
+use nwade_sim::Simulation;
 
 fn bench_tick(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf_tick");
     group.sample_size(20);
-    for &(variant, engine, spatial_index) in &VARIANTS {
-        for density in [100usize, 400] {
-            let mut sim = Simulation::new(fleet_config(engine, spatial_index));
-            sim.prespawn_fleet(density);
-            group.bench_function(BenchmarkId::new(variant, density), |b| {
-                b.iter(|| sim.tick_once())
-            });
-        }
+    for density in [100usize, 400] {
+        let mut sim = Simulation::new(fleet_config());
+        sim.prespawn_fleet(density);
+        group.bench_function(BenchmarkId::from_parameter(density), |b| {
+            b.iter(|| sim.tick_once())
+        });
     }
     group.finish();
 }
@@ -25,64 +23,29 @@ fn bench_tick(c: &mut Criterion) {
 fn bench_sense(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf_sense");
     group.sample_size(20);
-    for &(variant, engine, spatial_index) in &VARIANTS {
-        let mut sim = Simulation::new(fleet_config(engine, spatial_index));
-        sim.prespawn_fleet(400);
-        group.bench_function(BenchmarkId::new(variant, 400usize), |b| {
-            b.iter(|| sim.force_sense_pass())
-        });
-    }
+    let mut sim = Simulation::new(fleet_config());
+    sim.prespawn_fleet(400);
+    group.bench_function(BenchmarkId::from_parameter(400usize), |b| {
+        b.iter(|| sim.force_sense_pass())
+    });
     group.finish();
 }
 
 fn bench_window(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf_window");
     group.sample_size(20);
-    // Slot-seeking vs the retained linear probe loop, same fleet — the
-    // schedulers produce identical plans either way, so this measures
-    // pure search cost.
-    for (label, probe) in [("seek", false), ("probe", true)] {
-        for density in [100usize, 400] {
-            let mut config = fleet_config(EngineChoice::Serial, true);
-            config.probe_scheduler = probe;
-            let mut sim = Simulation::new(config);
-            sim.prespawn_fleet(density);
-            group.bench_function(BenchmarkId::new(label, density), |b| {
-                b.iter(|| {
-                    sim.enqueue_plan_requests(usize::MAX);
-                    sim.force_process_window();
-                })
-            });
-        }
+    for density in [100usize, 400] {
+        let mut sim = Simulation::new(fleet_config());
+        sim.prespawn_fleet(density);
+        group.bench_function(BenchmarkId::from_parameter(density), |b| {
+            b.iter(|| {
+                sim.enqueue_plan_requests(usize::MAX);
+                sim.force_process_window();
+            })
+        });
     }
     group.finish();
 }
 
-fn bench_pipeline(c: &mut Criterion) {
-    let mut group = c.benchmark_group("perf_pipeline");
-    group.sample_size(10);
-    // Sequential vs pipelined window engine with real RSA signing, where
-    // the overlap between window N's sign/package and window N+1's
-    // prepare pass actually buys wall-clock time.
-    for (label, pipelined) in [("seq", false), ("pipe", true)] {
-        for density in [100usize, 400] {
-            let mut config = fleet_config(EngineChoice::Serial, true);
-            config.signature = SignatureChoice::Rsa { bits: 1024 };
-            let mut sim = Simulation::new(config);
-            sim.prespawn_fleet(density);
-            group.bench_function(BenchmarkId::new(label, density), |b| {
-                b.iter(|| sim.bench_window_throughput(4, pipelined))
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_tick,
-    bench_sense,
-    bench_window,
-    bench_pipeline
-);
+criterion_group!(benches, bench_tick, bench_sense, bench_window);
 criterion_main!(benches);

@@ -111,7 +111,6 @@ pub fn city_base_config(total: usize) -> SimConfig {
     config.density = 0.001;
     config.seed = 7;
     config.signature = SignatureChoice::Mock;
-    config.spatial_index = true;
     config.nwade.sensing_radius = 60.0;
     // 8 m prespawn spacing over the 4-way cross's 8 approach lanes:
     // the whole city demand must fit on one shard in the 1-shard cell.

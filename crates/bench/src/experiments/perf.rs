@@ -1,21 +1,10 @@
 //! Perf baseline: tick throughput, sense-pass latency, and window
-//! processing latency across engine variants and fleet densities.
+//! processing latency across fleet densities.
 //!
-//! Four execution variants run the *same* simulation (differentially
-//! tested to produce identical reports):
-//!
-//! * **baseline** — serial engine, all-pairs neighbourhood scans (the
-//!   seed behaviour),
-//! * **serial** — serial engine over the uniform-grid spatial index,
-//! * **parallel** — threaded engine over the grid index,
-//! * **auto** — threaded above the fleet-size threshold, serial below.
-//!
-//! `report()` sweeps density × variant over a prespawned fleet, then
-//! runs the **saturation study**: window throughput from 50 to 10 000
-//! vehicles under three admission modes — the historical 256-capped
-//! batch, the unbounded sequential engine, and the unbounded pipelined
-//! engine (scheduling overlapped with signing). Both sweeps land in
-//! `BENCH_perf.json` at the repo root (one result object per line,
+//! `report()` sweeps density over a prespawned fleet, then runs the
+//! **saturation study**: window throughput from 50 to 10 000 vehicles
+//! under unbounded admission. Both sweeps land in `BENCH_perf.json` at
+//! the repo root (a header object, then one result object per line,
 //! hand-rolled — the workspace has no JSON dependency) and render as
 //! human tables. `guard()` re-measures every point recorded in the
 //! committed baseline and fails on a >2× per-tick, per-window, or
@@ -24,19 +13,13 @@
 
 use std::time::Instant;
 
-use nwade_aim::AdmissionPolicy;
-use nwade_sim::{EngineChoice, SignatureChoice, SimConfig, Simulation};
+use nwade_sim::{SignatureChoice, SimConfig, Simulation};
+
+/// Schema tag of `BENCH_perf.json`; the guard reads no other.
+pub const SCHEMA: &str = "nwade-perf-v2";
 
 /// Fleet sizes swept by the baseline (vehicles prespawned on approach).
 pub const DENSITIES: [usize; 5] = [50, 200, 500, 1000, 2000];
-
-/// `(label, engine, spatial_index)` execution variants.
-pub const VARIANTS: [(&str, EngineChoice, bool); 4] = [
-    ("baseline", EngineChoice::Serial, false),
-    ("serial", EngineChoice::Serial, true),
-    ("parallel", EngineChoice::Parallel, true),
-    ("auto", EngineChoice::Auto, true),
-];
 
 const WARMUP_TICKS: usize = 5;
 const MEASURED_TICKS: usize = 20;
@@ -46,32 +29,21 @@ const WINDOW_ITERS: usize = 3;
 /// discards co-tenant / frequency-scaling spikes on shared CI hosts.
 const REPEAT_BLOCKS: usize = 3;
 
-/// The bench-only request truncation this module used to hard-code.
-/// It survives only as the saturation study's "capped" mode — expressed
-/// as a real [`AdmissionPolicy`] so deferrals are counted, not silent —
-/// to quantify what the cap cost.
-pub const LEGACY_WINDOW_CAP: usize = 256;
-
 /// Fleet sizes swept by the saturation study.
 pub const SATURATION_DENSITIES: [usize; 6] = [50, 200, 1000, 2000, 5000, 10_000];
 
 /// Measured windows per saturation cell (after one warmup window).
 pub const SATURATION_WINDOWS: usize = 6;
 
-/// Admission/engine modes measured per saturation density.
-pub const SATURATION_MODES: [&str; 3] = ["capped256", "seq", "pipe"];
-
 /// Saturation cells the guard re-measures; denser cells are reported in
 /// the baseline but cost too much wall clock to re-run every CI pass.
 pub const SATURATION_GUARD_MAX_DENSITY: usize = 2000;
 
-/// One measured (density, variant) cell.
+/// One measured density cell.
 #[derive(Debug, Clone)]
 pub struct PerfPoint {
     /// Requested fleet size.
     pub density: usize,
-    /// Variant label from [`VARIANTS`].
-    pub variant: &'static str,
     /// Vehicles actually placed by `prespawn_fleet`.
     pub placed: usize,
     /// Mean wall-clock per `tick_once`, milliseconds.
@@ -90,18 +62,15 @@ pub struct PerfPoint {
     pub window_requests_scheduled: usize,
 }
 
-/// One measured (density, mode) cell of the saturation study.
+/// One measured density cell of the saturation study.
 #[derive(Debug, Clone)]
 pub struct SaturationPoint {
     /// Requested fleet size.
     pub density: usize,
-    /// Mode label from [`SATURATION_MODES`].
-    pub mode: &'static str,
     /// Vehicles actually placed by `prespawn_fleet`.
     pub placed: usize,
     /// Requests waiting at the last measured window (admitted +
-    /// deferred) — under the capped mode the deferral backlog shows up
-    /// here.
+    /// deferred).
     pub offered: usize,
     /// Requests admitted into the last measured window.
     pub admitted: usize,
@@ -109,7 +78,7 @@ pub struct SaturationPoint {
     pub deferred: usize,
     /// Plans sealed into blocks across the measured windows.
     pub sealed_plans: usize,
-    /// Plans sealed per window — the throughput the cap was strangling.
+    /// Plans sealed per window.
     pub plans_per_window: f64,
     /// Median window latency, milliseconds.
     pub p50_ms: f64,
@@ -123,28 +92,21 @@ pub struct SaturationPoint {
 /// approaches are stretched so 2000 vehicles fit single-file, and the
 /// sensing radius is shrunk to 60 m: the paper's 1000 ft radius covers
 /// the entire modeled area, which turns observation building into
-/// O(V²) under *every* variant and would hide the index.
-pub fn fleet_config(engine: EngineChoice, spatial_index: bool) -> SimConfig {
+/// O(V²) whatever the neighbourhood index.
+pub fn fleet_config() -> SimConfig {
     let mut config = SimConfig::default();
     config.duration = 60.0;
     config.density = 0.001;
     config.seed = 7;
     config.signature = SignatureChoice::Mock;
-    config.engine = engine;
-    config.spatial_index = spatial_index;
     config.nwade.sensing_radius = 60.0;
     config.geometry.approach_len = 2100.0;
     config
 }
 
-/// Measures one (density, variant) cell on a fresh simulation.
-pub fn measure(
-    density: usize,
-    variant: &'static str,
-    engine: EngineChoice,
-    spatial_index: bool,
-) -> PerfPoint {
-    let config = fleet_config(engine, spatial_index);
+/// Measures one density cell on a fresh simulation.
+pub fn measure(density: usize) -> PerfPoint {
+    let config = fleet_config();
     config.validate().expect("perf config valid");
     let mut sim = Simulation::new(config);
     let placed = sim.prespawn_fleet(density);
@@ -188,7 +150,6 @@ pub fn measure(
 
     PerfPoint {
         density,
-        variant,
         placed,
         tick_ms: tick_s * 1e3,
         ticks_per_sec: if tick_s > 0.0 {
@@ -203,46 +164,35 @@ pub fn measure(
     }
 }
 
-/// Runs the full density × variant sweep.
+/// Runs the full density sweep.
 pub fn sweep() -> Vec<PerfPoint> {
-    let mut points = Vec::new();
-    for &density in &DENSITIES {
-        for &(variant, engine, spatial_index) in &VARIANTS {
-            points.push(measure(density, variant, engine, spatial_index));
-        }
-    }
-    points
+    DENSITIES.iter().map(|&density| measure(density)).collect()
 }
 
 /// Simulation config for one saturation cell: the perf fleet with the
 /// approaches stretched so `density` vehicles fit single-file (8 m
 /// spacing spread over the approach lanes).
-pub fn saturation_config(density: usize, mode: &str) -> SimConfig {
-    let mut config = fleet_config(EngineChoice::Auto, true);
+pub fn saturation_config(density: usize) -> SimConfig {
+    let mut config = fleet_config();
     let needed = 8.0 * density as f64 / 12.0 + 120.0;
     config.geometry.approach_len = config.geometry.approach_len.max(needed);
-    if mode == "capped256" {
-        config.admission = AdmissionPolicy::bounded(LEGACY_WINDOW_CAP);
-    }
     config
 }
 
-/// Measures one (density, mode) saturation cell on a fresh simulation.
-pub fn measure_saturation(density: usize, mode: &'static str) -> SaturationPoint {
-    let config = saturation_config(density, mode);
+/// Measures one saturation cell on a fresh simulation.
+pub fn measure_saturation(density: usize) -> SaturationPoint {
+    let config = saturation_config(density);
     config.validate().expect("saturation config valid");
-    let pipelined = mode == "pipe";
     let mut sim = Simulation::new(config);
     let placed = sim.prespawn_fleet(density);
-    let _ = sim.bench_window_throughput(1, pipelined); // warmup
-    let (windows, sealed_plans) = sim.bench_window_throughput(SATURATION_WINDOWS, pipelined);
+    let _ = sim.bench_window_throughput(1); // warmup
+    let (windows, sealed_plans) = sim.bench_window_throughput(SATURATION_WINDOWS);
     let mut latencies: Vec<f64> = windows.iter().map(|w| w.latency_s * 1e3).collect();
     latencies.sort_by(f64::total_cmp);
     let pct = |q: f64| latencies[((latencies.len() - 1) as f64 * q).round() as usize];
     let last = windows.last().expect("at least one window");
     SaturationPoint {
         density,
-        mode,
         placed,
         offered: last.offered,
         admitted: last.admitted,
@@ -254,15 +204,12 @@ pub fn measure_saturation(density: usize, mode: &'static str) -> SaturationPoint
     }
 }
 
-/// Runs the density × mode saturation sweep.
+/// Runs the saturation sweep.
 pub fn saturation_sweep() -> Vec<SaturationPoint> {
-    let mut points = Vec::new();
-    for &density in &SATURATION_DENSITIES {
-        for &mode in &SATURATION_MODES {
-            points.push(measure_saturation(density, mode));
-        }
-    }
-    points
+    SATURATION_DENSITIES
+        .iter()
+        .map(|&density| measure_saturation(density))
+        .collect()
 }
 
 /// Hardware threads on the measuring host (recorded in the baseline so
@@ -272,24 +219,22 @@ pub fn host_threads() -> usize {
 }
 
 /// Serialises both sweeps: a header object, then one result per line —
-/// variant cells carry a `"variant"` key, saturation cells a `"mode"`
-/// key.
+/// tick cells carry `"cell":"tick"`, saturation cells
+/// `"cell":"saturation"`.
 pub fn to_json(points: &[PerfPoint], saturation: &[SaturationPoint]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{{\"schema\":\"nwade-perf-v1\",\"host_threads\":{},\"warmup_ticks\":{WARMUP_TICKS},\
+        "{{\"schema\":\"{SCHEMA}\",\"host_threads\":{},\"warmup_ticks\":{WARMUP_TICKS},\
          \"measured_ticks\":{MEASURED_TICKS},\"repeat_blocks\":{REPEAT_BLOCKS},\"sense_iters\":{SENSE_ITERS},\
-         \"window_iters\":{WINDOW_ITERS},\"legacy_window_cap\":{LEGACY_WINDOW_CAP},\
-         \"saturation_windows\":{SATURATION_WINDOWS}}}\n",
+         \"window_iters\":{WINDOW_ITERS},\"saturation_windows\":{SATURATION_WINDOWS}}}\n",
         host_threads()
     ));
     for p in points {
         out.push_str(&format!(
-            "{{\"density\":{},\"variant\":\"{}\",\"placed\":{},\"tick_ms\":{:.4},\
+            "{{\"cell\":\"tick\",\"density\":{},\"placed\":{},\"tick_ms\":{:.4},\
              \"ticks_per_sec\":{:.2},\"sense_ms\":{:.4},\"window_ms\":{:.4},\
              \"window_requests_offered\":{},\"window_requests_scheduled\":{}}}\n",
             p.density,
-            p.variant,
             p.placed,
             p.tick_ms,
             p.ticks_per_sec,
@@ -301,11 +246,10 @@ pub fn to_json(points: &[PerfPoint], saturation: &[SaturationPoint]) -> String {
     }
     for s in saturation {
         out.push_str(&format!(
-            "{{\"density\":{},\"mode\":\"{}\",\"placed\":{},\"offered\":{},\"admitted\":{},\
-             \"deferred\":{},\"sealed_plans\":{},\"plans_per_window\":{:.1},\
+            "{{\"cell\":\"saturation\",\"density\":{},\"placed\":{},\"offered\":{},\
+             \"admitted\":{},\"deferred\":{},\"sealed_plans\":{},\"plans_per_window\":{:.1},\
              \"p50_ms\":{:.4},\"p99_ms\":{:.4}}}\n",
             s.density,
-            s.mode,
             s.placed,
             s.offered,
             s.admitted,
@@ -325,25 +269,14 @@ pub fn baseline_path() -> std::path::PathBuf {
 }
 
 fn render(points: &[PerfPoint]) -> String {
-    let baseline_tick = |density: usize| {
-        points
-            .iter()
-            .find(|p| p.density == density && p.variant == "baseline")
-            .map(|p| p.tick_ms)
-    };
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
-            let speedup = baseline_tick(p.density)
-                .filter(|&b| p.tick_ms > 0.0 && b > 0.0)
-                .map_or_else(|| "-".into(), |b| format!("{:.2}x", b / p.tick_ms));
             vec![
                 p.density.to_string(),
-                p.variant.to_string(),
                 p.placed.to_string(),
                 format!("{:.4}", p.tick_ms),
                 format!("{:.1}", p.ticks_per_sec),
-                speedup,
                 format!("{:.4}", p.sense_ms),
                 format!("{:.4}", p.window_ms),
                 format!(
@@ -356,11 +289,9 @@ fn render(points: &[PerfPoint]) -> String {
     crate::table::render(
         &[
             "density",
-            "variant",
             "placed",
             "tick ms",
             "ticks/s",
-            "speedup",
             "sense ms",
             "window ms",
             "win req",
@@ -377,9 +308,9 @@ fn cap_notes(points: &[PerfPoint]) -> Vec<String> {
         .filter(|p| p.window_requests_offered > p.window_requests_scheduled)
         .map(|p| {
             format!(
-                "note: admission bound at {}@{}: \
+                "note: admission bound at density {}: \
                  {} vehicles offered, {} scheduled",
-                p.variant, p.density, p.window_requests_offered, p.window_requests_scheduled
+                p.density, p.window_requests_offered, p.window_requests_scheduled
             )
         })
         .collect()
@@ -391,7 +322,6 @@ fn render_saturation(points: &[SaturationPoint]) -> String {
         .map(|s| {
             vec![
                 s.density.to_string(),
-                s.mode.to_string(),
                 s.placed.to_string(),
                 format!("{}/{}", s.admitted, s.offered),
                 s.deferred.to_string(),
@@ -404,7 +334,6 @@ fn render_saturation(points: &[SaturationPoint]) -> String {
     crate::table::render(
         &[
             "density",
-            "mode",
             "placed",
             "adm/off",
             "deferred",
@@ -431,8 +360,7 @@ pub fn report() -> String {
     notes.push(status);
     format!(
         "Perf baseline ({} hardware threads)\n{}\n\
-         Window saturation (modes: capped256 = legacy {LEGACY_WINDOW_CAP}-request cap, \
-         seq = unbounded sequential, pipe = unbounded pipelined)\n{}\n{}",
+         Window saturation (unbounded admission)\n{}\n{}",
         host_threads(),
         render(&points),
         render_saturation(&saturation),
@@ -456,10 +384,26 @@ fn json_str(line: &str, key: &str) -> Option<String> {
     Some(rest[..end].to_string())
 }
 
+/// Checks that the committed baseline's header names [`SCHEMA`]; a file
+/// of another schema holds cells the guard cannot re-measure.
+fn check_schema(committed: &str) -> Result<(), String> {
+    let found = committed
+        .lines()
+        .next()
+        .and_then(|header| json_str(header, "schema"));
+    match found.as_deref() {
+        Some(SCHEMA) => Ok(()),
+        other => Err(format!(
+            "baseline schema is {}, perf-guard reads {SCHEMA}: regenerate it with \
+             `expgen perf` and commit it",
+            other.unwrap_or("missing")
+        )),
+    }
+}
+
 /// Regression gate: re-measures every point in the committed baseline
-/// and fails if any cell's per-tick **or** per-window time regressed by
-/// more than 2×. Window gating is skipped for baseline lines that
-/// predate the `window_ms` field. Saturation cells up to
+/// and fails if any tick cell's per-tick **or** per-window time
+/// regressed by more than 2×. Saturation cells up to
 /// [`SATURATION_GUARD_MAX_DENSITY`] are re-measured too: their p99
 /// window latency is gated at 2×, and any window that admitted fewer
 /// requests than were offered **must** show a non-zero shed/deferral
@@ -467,8 +411,8 @@ fn json_str(line: &str, key: &str) -> Option<String> {
 ///
 /// # Errors
 ///
-/// Returns a description of the missing/corrupt baseline or the list of
-/// regressed cells.
+/// Returns a description of the missing, corrupt or wrong-schema
+/// baseline, or the list of regressed cells.
 pub fn guard() -> Result<String, String> {
     let path = baseline_path();
     let committed = std::fs::read_to_string(&path).map_err(|e| {
@@ -477,6 +421,7 @@ pub fn guard() -> Result<String, String> {
             path.display()
         )
     })?;
+    check_schema(&committed).map_err(|e| format!("{}: {e}", path.display()))?;
     let ratio_of = |fresh: f64, committed: f64| {
         if committed > 0.0 {
             fresh / committed
@@ -486,118 +431,70 @@ pub fn guard() -> Result<String, String> {
     };
     let mut rows = Vec::new();
     let mut failures = Vec::new();
-    let mut fresh_ticks: Vec<(usize, &'static str, f64)> = Vec::new();
-    for line in committed.lines().filter(|l| l.contains("\"variant\"")) {
+    for line in committed
+        .lines()
+        .filter(|l| l.contains("\"cell\":\"tick\""))
+    {
         let density = json_num(line, "density")
             .ok_or_else(|| format!("baseline line missing density: {line}"))?
             as usize;
-        let variant = json_str(line, "variant")
-            .ok_or_else(|| format!("baseline line missing variant: {line}"))?;
         let committed_tick = json_num(line, "tick_ms")
             .ok_or_else(|| format!("baseline line missing tick_ms: {line}"))?;
-        let committed_window = json_num(line, "window_ms");
-        let &(label, engine, spatial_index) = VARIANTS
-            .iter()
-            .find(|v| v.0 == variant)
-            .ok_or_else(|| format!("baseline names unknown variant '{variant}'"))?;
-        let mut fresh = measure(density, label, engine, spatial_index);
+        let committed_window = json_num(line, "window_ms")
+            .ok_or_else(|| format!("baseline line missing window_ms: {line}"))?;
+        let mut fresh = measure(density);
         let mut tick_ratio = ratio_of(fresh.tick_ms, committed_tick);
-        let mut window_ratio = committed_window.map(|cw| ratio_of(fresh.window_ms, cw));
-        if tick_ratio > 2.0 || window_ratio.is_some_and(|r| r > 2.0) {
+        let mut window_ratio = ratio_of(fresh.window_ms, committed_window);
+        if tick_ratio > 2.0 || window_ratio > 2.0 {
             // Shared CI hosts spike; only flag a cell regressed if it
             // exceeds the threshold on two consecutive measurements.
             // Metrics spike independently, so take each metric's best.
-            let retry = measure(density, label, engine, spatial_index);
+            let retry = measure(density);
             fresh.tick_ms = fresh.tick_ms.min(retry.tick_ms);
             fresh.window_ms = fresh.window_ms.min(retry.window_ms);
             tick_ratio = ratio_of(fresh.tick_ms, committed_tick);
-            window_ratio = committed_window.map(|cw| ratio_of(fresh.window_ms, cw));
+            window_ratio = ratio_of(fresh.window_ms, committed_window);
         }
         if tick_ratio > 2.0 {
             failures.push(format!(
-                "{label}@{density}: tick {committed_tick:.4} ms -> {:.4} ms ({tick_ratio:.2}x)",
+                "tick@{density}: {committed_tick:.4} ms -> {:.4} ms ({tick_ratio:.2}x)",
                 fresh.tick_ms
             ));
         }
-        if let (Some(r), Some(cw)) = (window_ratio, committed_window) {
-            if r > 2.0 {
-                failures.push(format!(
-                    "{label}@{density}: window {cw:.4} ms -> {:.4} ms ({r:.2}x)",
-                    fresh.window_ms
-                ));
-            }
+        if window_ratio > 2.0 {
+            failures.push(format!(
+                "window@{density}: {committed_window:.4} ms -> {:.4} ms ({window_ratio:.2}x)",
+                fresh.window_ms
+            ));
         }
-        fresh_ticks.push((density, label, fresh.tick_ms));
         rows.push(vec![
             density.to_string(),
-            label.to_string(),
             format!("{committed_tick:.4}"),
             format!("{:.4}", fresh.tick_ms),
             format!("{tick_ratio:.2}x"),
-            committed_window.map_or_else(|| "-".into(), |cw| format!("{cw:.4}")),
+            format!("{committed_window:.4}"),
             format!("{:.4}", fresh.window_ms),
-            window_ratio.map_or_else(|| "-".into(), |r| format!("{r:.2}x")),
+            format!("{window_ratio:.2}x"),
         ]);
     }
     if rows.is_empty() {
         return Err(format!("no result lines found in {}", path.display()));
     }
-    // Small-fleet cutoff assertion: below the measured crossover floor
-    // `Auto` resolves to the serial path, so its per-tick time must
-    // track serial's — a large gap means the cutoff regressed and Auto
-    // is spawning threads for fleets where they measurably lose.
-    let tick_of = |density: usize, variant: &str| {
-        fresh_ticks
-            .iter()
-            .find(|(d, v, _)| *d == density && *v == variant)
-            .map(|(_, _, t)| *t)
-    };
-    for &(density, _, _) in fresh_ticks
-        .iter()
-        .filter(|(d, v, _)| *d < nwade_sim::engine::AUTO_SERIAL_FLOOR && *v == "auto")
-    {
-        let (Some(serial), Some(auto)) = (tick_of(density, "serial"), tick_of(density, "auto"))
-        else {
-            continue;
-        };
-        let mut ratio = if serial > 0.0 { auto / serial } else { 1.0 };
-        if ratio > 2.0 {
-            // Same spike-tolerance policy as the per-cell gates: one
-            // re-measurement before declaring a regression.
-            let retry = measure(density, "auto", EngineChoice::Auto, true);
-            ratio = if serial > 0.0 {
-                auto.min(retry.tick_ms) / serial
-            } else {
-                1.0
-            };
-        }
-        if ratio > 2.0 {
-            failures.push(format!(
-                "auto@{density}: {auto:.4} ms vs serial {serial:.4} ms ({ratio:.2}x) — \
-                 auto must stay on the serial path below {} vehicles",
-                nwade_sim::engine::AUTO_SERIAL_FLOOR
-            ));
-        }
-    }
     // Saturation cells: shed counters must account for every admission
     // gap, and p99 window latency gates at the same 2× threshold.
     let mut sat_rows = Vec::new();
-    for line in committed.lines().filter(|l| l.contains("\"mode\"")) {
+    for line in committed
+        .lines()
+        .filter(|l| l.contains("\"cell\":\"saturation\""))
+    {
         let density = json_num(line, "density")
             .ok_or_else(|| format!("saturation line missing density: {line}"))?
             as usize;
-        let mode = json_str(line, "mode")
-            .ok_or_else(|| format!("saturation line missing mode: {line}"))?;
         let committed_p99 = json_num(line, "p99_ms")
             .ok_or_else(|| format!("saturation line missing p99_ms: {line}"))?;
-        let &mode = SATURATION_MODES
-            .iter()
-            .find(|m| **m == mode)
-            .ok_or_else(|| format!("baseline names unknown saturation mode '{mode}'"))?;
         if density > SATURATION_GUARD_MAX_DENSITY {
             sat_rows.push(vec![
                 density.to_string(),
-                mode.to_string(),
                 "-".into(),
                 format!("{committed_p99:.4}"),
                 "-".into(),
@@ -605,30 +502,30 @@ pub fn guard() -> Result<String, String> {
             ]);
             continue;
         }
-        let mut fresh = measure_saturation(density, mode);
+        let mut fresh = measure_saturation(density);
         if fresh.admitted < fresh.offered && fresh.deferred == 0 {
             failures.push(format!(
-                "{mode}@{density}: admitted {} of {} offered requests with no \
+                "saturation@{density}: admitted {} of {} offered requests with no \
                  shed/deferral counter increment — a cap is binding silently",
                 fresh.admitted, fresh.offered
             ));
         }
         let mut p99_ratio = ratio_of(fresh.p99_ms, committed_p99);
         if p99_ratio > 2.0 {
-            // Same spike-tolerance policy as the per-cell gates above.
-            let retry = measure_saturation(density, mode);
+            // Same spike-tolerance policy as the tick cells above.
+            let retry = measure_saturation(density);
             fresh.p99_ms = fresh.p99_ms.min(retry.p99_ms);
             p99_ratio = ratio_of(fresh.p99_ms, committed_p99);
         }
         if p99_ratio > 2.0 {
             failures.push(format!(
-                "{mode}@{density}: p99 window {committed_p99:.4} ms -> {:.4} ms ({p99_ratio:.2}x)",
+                "saturation@{density}: p99 window {committed_p99:.4} ms -> {:.4} ms \
+                 ({p99_ratio:.2}x)",
                 fresh.p99_ms
             ));
         }
         sat_rows.push(vec![
             density.to_string(),
-            mode.to_string(),
             format!("{}/{}", fresh.admitted, fresh.offered),
             format!("{committed_p99:.4}"),
             format!("{:.4}", fresh.p99_ms),
@@ -638,7 +535,6 @@ pub fn guard() -> Result<String, String> {
     let table = crate::table::render(
         &[
             "density",
-            "variant",
             "tick base ms",
             "tick ms",
             "tick ratio",
@@ -654,14 +550,7 @@ pub fn guard() -> Result<String, String> {
         format!(
             "\n{}",
             crate::table::render(
-                &[
-                    "density",
-                    "mode",
-                    "adm/off",
-                    "p99 base ms",
-                    "p99 ms",
-                    "p99 ratio",
-                ],
+                &["density", "adm/off", "p99 base ms", "p99 ms", "p99 ratio"],
                 &sat_rows,
             )
         )
@@ -681,19 +570,17 @@ pub fn guard() -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nwade_aim::AdmissionPolicy;
 
     #[test]
     fn fleet_config_is_valid() {
-        for &(_, engine, grid) in &VARIANTS {
-            fleet_config(engine, grid).validate().expect("valid");
-        }
+        fleet_config().validate().expect("valid");
     }
 
     #[test]
     fn json_round_trip_scans_back() {
         let point = PerfPoint {
             density: 50,
-            variant: "serial",
             placed: 50,
             tick_ms: 1.25,
             ticks_per_sec: 800.0,
@@ -704,7 +591,6 @@ mod tests {
         };
         let sat = SaturationPoint {
             density: 1000,
-            mode: "capped256",
             placed: 1000,
             offered: 1000,
             admitted: 256,
@@ -715,29 +601,24 @@ mod tests {
             p99_ms: 4.25,
         };
         let json = to_json(std::slice::from_ref(&point), std::slice::from_ref(&sat));
+        check_schema(&json).expect("fresh output carries the current schema");
         let line = json
             .lines()
-            .find(|l| l.contains("\"variant\""))
-            .expect("result line");
+            .find(|l| l.contains("\"cell\":\"tick\""))
+            .expect("tick line");
         assert_eq!(json_num(line, "density"), Some(50.0));
-        assert_eq!(json_str(line, "variant").as_deref(), Some("serial"));
         assert_eq!(json_num(line, "tick_ms"), Some(1.25));
         assert_eq!(json_num(line, "window_ms"), Some(0.75));
         assert_eq!(json_num(line, "window_requests_offered"), Some(60.0));
         assert_eq!(json_num(line, "window_requests_scheduled"), Some(50.0));
         let sat_line = json
             .lines()
-            .find(|l| l.contains("\"mode\""))
+            .find(|l| l.contains("\"cell\":\"saturation\""))
             .expect("saturation line");
         assert_eq!(json_num(sat_line, "density"), Some(1000.0));
-        assert_eq!(json_str(sat_line, "mode").as_deref(), Some("capped256"));
         assert_eq!(json_num(sat_line, "admitted"), Some(256.0));
         assert_eq!(json_num(sat_line, "deferred"), Some(744.0));
         assert_eq!(json_num(sat_line, "p99_ms"), Some(4.25));
-        assert!(
-            !sat_line.contains("\"variant\""),
-            "saturation lines must not parse as variant cells"
-        );
         // Truncated batches are called out, never silent.
         let notes = cap_notes(&[point]);
         assert_eq!(notes.len(), 1);
@@ -745,18 +626,32 @@ mod tests {
     }
 
     #[test]
-    fn header_records_host_and_caps() {
+    fn header_records_schema_and_host() {
         let json = to_json(&[], &[]);
         let header = json.lines().next().expect("header");
-        assert!(header.contains("\"schema\":\"nwade-perf-v1\""));
+        assert!(header.contains(&format!("\"schema\":\"{SCHEMA}\"")));
         assert!(header.contains("\"host_threads\":"));
-        assert!(header.contains(&format!("\"legacy_window_cap\":{LEGACY_WINDOW_CAP}")));
         assert!(header.contains(&format!("\"saturation_windows\":{SATURATION_WINDOWS}")));
+    }
+
+    /// A baseline of the previous schema is refused with a message that
+    /// names both schemas, instead of failing on unknown cells.
+    #[test]
+    fn guard_rejects_other_schemas() {
+        let v1 = "{\"schema\":\"nwade-perf-v1\",\"host_threads\":1}\n\
+                  {\"density\":50,\"variant\":\"serial\",\"tick_ms\":1.0}\n";
+        let err = check_schema(v1).expect_err("v1 refused");
+        assert!(
+            err.contains("nwade-perf-v1") && err.contains(SCHEMA),
+            "{err}"
+        );
+        let err = check_schema("").expect_err("empty refused");
+        assert!(err.contains("missing"), "{err}");
     }
 
     #[test]
     fn measure_small_fleet_produces_sane_point() {
-        let point = measure(8, "serial", EngineChoice::Serial, true);
+        let point = measure(8);
         assert_eq!(point.density, 8);
         assert_eq!(point.placed, 8);
         assert!(point.tick_ms > 0.0);
@@ -770,38 +665,35 @@ mod tests {
     }
 
     #[test]
-    fn saturation_config_scales_and_caps() {
-        let capped = saturation_config(10_000, "capped256");
-        assert_eq!(capped.admission.max_batch, Some(LEGACY_WINDOW_CAP));
+    fn saturation_config_scales() {
+        let big = saturation_config(10_000);
         assert!(
-            capped.geometry.approach_len > 6000.0,
+            big.geometry.approach_len > 6000.0,
             "approaches must stretch to fit 10k vehicles single-file"
         );
-        let seq = saturation_config(50, "seq");
-        assert_eq!(seq.admission.max_batch, None);
-        capped.validate().expect("capped config valid");
-        seq.validate().expect("seq config valid");
+        assert_eq!(big.admission.max_batch, None);
+        big.validate().expect("config valid");
+        saturation_config(50).validate().expect("config valid");
     }
 
-    /// A tiny saturation cell under each mode: the capped mode must
-    /// defer (and say so), and both unbounded modes must seal every
-    /// offered plan.
+    /// A tiny saturation cell: a binding admission cap must defer (and
+    /// say so), and the unbounded study must seal every offered plan.
     #[test]
     fn saturation_measures_small_fleet() {
-        let mut config = saturation_config(12, "seq");
+        let mut config = saturation_config(12);
         config.admission = AdmissionPolicy::bounded(5);
         config.validate().expect("valid");
         let mut sim = Simulation::new(config);
         let placed = sim.prespawn_fleet(12);
         assert_eq!(placed, 12);
-        let (windows, _sealed) = sim.bench_window_throughput(2, false);
+        let (windows, _sealed) = sim.bench_window_throughput(2);
         assert!(windows.iter().all(|w| w.admitted <= 5));
         assert!(
             windows.iter().any(|w| w.deferred > 0),
             "a binding cap must surface in the deferral counter"
         );
 
-        let point = measure_saturation(12, "pipe");
+        let point = measure_saturation(12);
         assert_eq!(point.placed, 12);
         assert_eq!(point.deferred, 0);
         assert_eq!(point.offered, point.admitted);

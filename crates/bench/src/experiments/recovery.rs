@@ -305,7 +305,9 @@ struct CommittedRow {
     invariant_violations: usize,
 }
 
-/// Regression gate over the committed `BENCH_recovery.json`: fails when
+/// Regression gate over the committed `BENCH_recovery.json`, re-running
+/// each row for `rounds` rounds of `duration` simulated seconds. Fails
+/// when
 ///
 /// * a warm or standby row's dark time regressed — its fresh recovery
 ///   latency exceeds the committed one by more than a second — or its
@@ -326,9 +328,7 @@ struct CommittedRow {
 ///
 /// Returns a description of the missing/corrupt baseline or the list of
 /// regressed rows.
-pub fn guard() -> Result<String, String> {
-    let rounds = crate::rounds();
-    let duration = crate::duration();
+pub fn guard(rounds: u64, duration: f64) -> Result<String, String> {
     let path = results_path();
     let committed = std::fs::read_to_string(&path).map_err(|e| {
         format!(

@@ -11,9 +11,10 @@
 //!   (who wins, what is detected, what stays flat).
 //!
 //! Runtime knobs: experiments honour `NWADE_ROUNDS` (rounds per setting,
-//! default 10 like the paper) and `NWADE_DURATION` (seconds per round)
-//! so CI can run quick passes while the full regeneration matches the
-//! paper's protocol.
+//! default 10 like the paper) and `NWADE_DURATION` (seconds per round,
+//! default 150) so CI can run quick passes while the full regeneration
+//! matches the paper's protocol. A value that does not parse, zero
+//! rounds, or a duration that is not positive and finite is an error.
 
 #![forbid(unsafe_code)]
 
@@ -26,17 +27,100 @@ pub use experiments::{
 };
 
 /// Rounds per configuration (paper: 10). Override with `NWADE_ROUNDS`.
-pub fn rounds() -> u64 {
-    std::env::var("NWADE_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10)
+///
+/// # Errors
+///
+/// Describes an `NWADE_ROUNDS` that [`parse_rounds`] rejects.
+pub fn rounds() -> Result<u64, String> {
+    parse_rounds(env_knob("NWADE_ROUNDS")?.as_deref())
 }
 
 /// Simulated seconds per round. Override with `NWADE_DURATION`.
-pub fn duration() -> f64 {
-    std::env::var("NWADE_DURATION")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150.0)
+///
+/// # Errors
+///
+/// Describes an `NWADE_DURATION` that [`parse_duration`] rejects.
+pub fn duration() -> Result<f64, String> {
+    parse_duration(env_knob("NWADE_DURATION")?.as_deref())
+}
+
+fn env_knob(name: &str) -> Result<Option<String>, String> {
+    match std::env::var(name) {
+        Ok(value) => Ok(Some(value)),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(_)) => Err(format!("{name} is not valid UTF-8")),
+    }
+}
+
+/// Parses an `NWADE_ROUNDS` value; `None` (unset) means 10.
+///
+/// # Errors
+///
+/// Anything but a whole number of at least one round.
+pub fn parse_rounds(value: Option<&str>) -> Result<u64, String> {
+    let Some(value) = value else {
+        return Ok(10);
+    };
+    match value.parse::<u64>() {
+        Ok(0) => Err("NWADE_ROUNDS=0: at least one round is needed".into()),
+        Ok(rounds) => Ok(rounds),
+        Err(_) => Err(format!(
+            "NWADE_ROUNDS={value:?} is not a whole number of rounds"
+        )),
+    }
+}
+
+/// Parses an `NWADE_DURATION` value in simulated seconds; `None`
+/// (unset) means 150.
+///
+/// # Errors
+///
+/// Anything but a positive, finite number.
+pub fn parse_duration(value: Option<&str>) -> Result<f64, String> {
+    let Some(value) = value else {
+        return Ok(150.0);
+    };
+    match value.parse::<f64>() {
+        Ok(seconds) if seconds > 0.0 && seconds.is_finite() => Ok(seconds),
+        Ok(_) => Err(format!(
+            "NWADE_DURATION={value:?} must be a positive, finite number of seconds"
+        )),
+        Err(_) => Err(format!(
+            "NWADE_DURATION={value:?} is not a number of seconds"
+        )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unset_knobs_take_the_defaults() {
+        assert_eq!(parse_rounds(None), Ok(10));
+        assert_eq!(parse_duration(None), Ok(150.0));
+    }
+
+    #[test]
+    fn valid_knobs_parse() {
+        assert_eq!(parse_rounds(Some("3")), Ok(3));
+        assert_eq!(parse_duration(Some("120")), Ok(120.0));
+        assert_eq!(parse_duration(Some("0.5")), Ok(0.5));
+    }
+
+    #[test]
+    fn zero_or_garbage_rounds_are_rejected() {
+        for bad in ["0", "abc", "", "-1", "2.5", " 3"] {
+            let err = parse_rounds(Some(bad)).expect_err(bad);
+            assert!(err.contains("NWADE_ROUNDS"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn non_positive_non_finite_or_garbage_durations_are_rejected() {
+        for bad in ["-5", "0", "-0", "NaN", "inf", "-inf", "abc", ""] {
+            let err = parse_duration(Some(bad)).expect_err(bad);
+            assert!(err.contains("NWADE_DURATION"), "{bad}: {err}");
+        }
+    }
 }

@@ -467,8 +467,7 @@ pub(crate) mod tests {
     #[test]
     fn empty_anchor_digest_matches_plain_helpers() {
         // The 4-arg helpers and the anchored ones with an empty slice
-        // are the same function — the packager and the pipelined sealer
-        // must agree on this.
+        // are the same function, so unanchored blocks verify either way.
         let b = block();
         assert_eq!(
             Block::signing_digest(b.index(), &b.prev_hash(), b.timestamp(), &b.merkle_root()),

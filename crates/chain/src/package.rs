@@ -83,8 +83,7 @@ impl BlockPackager {
     }
 
     /// Like [`BlockPackager::package`] but with the Merkle root already
-    /// computed by the caller (the pipelined window engine computes roots
-    /// off the signing path). `root` **must** equal
+    /// computed by the caller. `root` **must** equal
     /// `Block::root_of(&plans)` or the block will fail verification.
     pub fn package_rooted(
         &mut self,
@@ -126,12 +125,6 @@ impl BlockPackager {
         self.prev_hash = block.hash();
         self.next_index += 1;
         block
-    }
-
-    /// The signing scheme, shared with the pipelined window engine's
-    /// sealing worker.
-    pub fn signer(&self) -> &Arc<dyn SignatureScheme> {
-        &self.signer
     }
 
     /// Stages one plan for the block under construction, extending the

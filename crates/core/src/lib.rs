@@ -14,9 +14,6 @@
 //!   the vehicle FSM, chain cache and verifiers together,
 //! * [`manager`] — [`NwadeManager`], the IM-side engine: scheduling,
 //!   block packaging, report verification and evacuation,
-//! * [`pipeline`] — [`WindowPipeline`], the pipelined window engine:
-//!   window N+1's scheduling/Merkle work overlaps window N's
-//!   chain-serial signing, bit-identical to the sequential path,
 //! * [`prob`] — the analytic models of Eq. 2 (detection probability) and
 //!   Eq. 3 (self-evacuation probability),
 //! * [`attack`] — Table I's eleven attack settings and the attacker
@@ -48,7 +45,6 @@ pub mod guard;
 pub mod manager;
 pub mod messages;
 pub mod persist;
-pub mod pipeline;
 pub mod prob;
 pub mod replica;
 pub mod retry;
@@ -57,12 +53,11 @@ pub mod verify;
 pub use attack::{AttackSetting, ViolationKind};
 pub use config::NwadeConfig;
 pub use guard::{EvacuationCause, GuardAction, VehicleGuard};
-pub use manager::{ManagerAction, NwadeManager, PreparedWindow};
+pub use manager::{ManagerAction, NwadeManager};
 pub use messages::{GlobalClaim, GlobalReport, IncidentReport, NwadeMessage, Observation};
 pub use persist::{
     CrashPoint, DurableState, ImPersistence, RecoveryOutcome, WalRecord, WarmRecovery,
 };
-pub use pipeline::WindowPipeline;
 pub use replica::{
     block_epoch, fence_anchor, Promoted, StandbyManager, StandbyPolicy, FENCE_SHARD,
 };

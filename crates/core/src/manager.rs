@@ -54,47 +54,6 @@ pub enum ManagerAction {
     },
 }
 
-/// A processing window whose scheduling, conflict filtering, and Merkle
-/// root are done but whose block is not yet signed. Produced by
-/// [`NwadeManager::prepare_window`]; consumed by
-/// [`NwadeManager::seal_window`] (in-place) or a
-/// [`crate::WindowPipeline`] worker (off-thread, chain-serial).
-#[derive(Debug, Clone)]
-pub struct PreparedWindow {
-    plans: Vec<TravelPlan>,
-    root: Digest,
-    timestamp: f64,
-    anchors: Vec<ShardAnchor>,
-}
-
-impl PreparedWindow {
-    /// The conflict-free plans the block will carry.
-    pub fn plans(&self) -> &[TravelPlan] {
-        &self.plans
-    }
-
-    /// Merkle root over the plans (`R_i` of Eq. 1).
-    pub fn root(&self) -> Digest {
-        self.root
-    }
-
-    /// Window close time — the block timestamp `τ`.
-    pub fn timestamp(&self) -> f64 {
-        self.timestamp
-    }
-
-    /// Neighbour chain tips the block will anchor (empty outside a
-    /// multi-intersection deployment).
-    pub fn anchors(&self) -> &[ShardAnchor] {
-        &self.anchors
-    }
-
-    /// Decomposes into `(plans, root, timestamp, anchors)` for sealing.
-    pub fn into_parts(self) -> (Vec<TravelPlan>, Digest, f64, Vec<ShardAnchor>) {
-        (self.plans, self.root, self.timestamp, self.anchors)
-    }
-}
-
 /// One in-flight report verification.
 #[derive(Clone)]
 struct PendingVerification {
@@ -319,27 +278,12 @@ impl NwadeManager {
         }
     }
 
-    /// Processes one window of plan requests: schedule, package,
-    /// broadcast. Returns `None` when no requests arrived.
-    ///
-    /// Equivalent to [`NwadeManager::prepare_window`] followed by
-    /// [`NwadeManager::seal_window`]; the split entry points exist so the
-    /// pipelined window engine can overlap the scheduling/Merkle work of
-    /// window N+1 with the (chain-serial) signing of window N.
+    /// Processes one window of plan requests: schedule, drop
+    /// unpublishable plans, record the survivors as published, package
+    /// and sign them against the chain tip, and broadcast. Returns `None`
+    /// when the window produces no block (no requests, or every plan
+    /// deferred).
     pub fn on_window(&mut self, requests: &[PlanRequest], now: f64) -> Option<ManagerAction> {
-        let prepared = self.prepare_window(requests, now)?;
-        Some(self.seal_window(prepared))
-    }
-
-    /// The tip-independent front half of a processing window: schedule
-    /// the batch, drop unpublishable plans, record the survivors as
-    /// published, and compute their Merkle root. Returns `None` when the
-    /// window produces no block (no requests, or every plan deferred).
-    ///
-    /// Nothing here touches the chain tip, so the result may be sealed
-    /// later — by [`NwadeManager::seal_window`] on this manager, or by a
-    /// [`crate::WindowPipeline`] worker that owns the tip.
-    pub fn prepare_window(&mut self, requests: &[PlanRequest], now: f64) -> Option<PreparedWindow> {
         if requests.is_empty() {
             return None;
         }
@@ -365,52 +309,16 @@ impl NwadeManager {
             // shard-sorted anchor order.
             anchors.push(crate::replica::fence_anchor(self.fencing_epoch));
         }
-        Some(PreparedWindow {
-            root: Block::root_of(&plans),
-            plans,
-            timestamp: now,
-            anchors,
-        })
-    }
-
-    /// The chain-serial back half of a processing window: sign the
-    /// prepared plans against this manager's tip and advance it.
-    pub fn seal_window(&mut self, prepared: PreparedWindow) -> ManagerAction {
-        let PreparedWindow {
-            plans,
-            root,
-            timestamp,
-            anchors,
-        } = prepared;
+        let root = Block::root_of(&plans);
         let block = self
             .packager
-            .package_rooted_anchored(plans, root, timestamp, anchors);
-        self.absorb_block(block)
-    }
-
-    /// Adopts a block sealed off-manager (by a [`crate::WindowPipeline`]
-    /// worker) from a [`PreparedWindow`] this manager produced: the
-    /// packager tip moves past it, it joins the recent-block store, and
-    /// the FSM and reservation GC advance exactly as if
-    /// [`NwadeManager::seal_window`] had signed it here.
-    pub fn absorb_sealed(&mut self, block: Block) -> ManagerAction {
-        self.packager.restore_tip(block.hash(), block.index() + 1);
-        self.absorb_block(block)
-    }
-
-    fn absorb_block(&mut self, block: Block) -> ManagerAction {
+            .package_rooted_anchored(plans, root, now, anchors);
         self.remember_block(&block);
         self.step_fsm(ImEvent::BlockPackaged);
         self.step_fsm(ImEvent::BlockDisseminated);
         self.scheduler
             .collect_garbage(block.timestamp() - self.config.reservation_gc_horizon);
-        ManagerAction::BroadcastBlock(block)
-    }
-
-    /// The signing scheme, shared with a [`crate::WindowPipeline`]'s
-    /// sealing worker.
-    pub fn signer(&self) -> Arc<dyn SignatureScheme> {
-        self.packager.signer().clone()
+        Some(ManagerAction::BroadcastBlock(block))
     }
 
     /// Handles an incident report: starts round-1 verification with a

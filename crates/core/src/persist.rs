@@ -55,7 +55,7 @@ pub enum CrashPoint {
     /// After the commit record is durable, before the broadcast goes
     /// out: recovery must re-send exactly this block.
     AfterCommit,
-    /// The whole process is gone: manager, pipeline and every byte of
+    /// The whole process is gone: the manager and every byte of
     /// in-flight state drop at once, with no orderly in-process restart.
     /// Only what the WAL already made durable — and a live standby that
     /// was tailing it — survives.

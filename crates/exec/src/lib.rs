@@ -1,96 +1,22 @@
-//! Deterministic chunked fan-out primitives.
+//! Deterministic chunked fan-out for the city's shard phase.
 //!
-//! Both the tick engine (`nwade-sim`) and the AIM scheduler pre-pass
-//! (`nwade-aim`) decompose work into *element-wise maps*: for every item
-//! independently, compute a small result. Such a map can run over
-//! contiguous chunks of the item list on worker threads and concatenate
-//! the chunk results in chunk order — which is the original iteration
-//! order — so the output is **bit-identical** to the serial loop. All
-//! side effects stay serial in the reduction step.
-//!
-//! The helpers here encode that contract: the closure passed to
-//! [`fan_out`] / [`fan_out_mut`] / [`fan_out_indices`] must be
-//! element-wise, i.e. `f(a ++ b) == f(a) ++ f(b)`. Under that contract
-//! the thread count is unobservable.
-
-/// Below this many items a phase runs inline: spawning threads costs
-/// more than the work itself.
-pub const PARALLEL_CUTOFF: usize = 64;
+//! A city tick advances every shard independently: for each shard, one
+//! whole intersection tick. [`fan_out_mut_with_cutoff`] runs such an
+//! element-wise map over contiguous chunks of the shard list on worker
+//! threads and concatenates the chunk results in chunk order — which is
+//! the original iteration order — so the output is **bit-identical** to
+//! the serial loop. The closure must be element-wise, i.e.
+//! `f(a ++ b) == f(a) ++ f(b)`; under that contract the thread count is
+//! unobservable.
 
 /// The host's available parallelism (never 0).
 pub fn host_threads() -> usize {
     rayon::current_num_threads().max(1)
 }
 
-/// Splits `0..n` into at most `threads` contiguous ranges.
-fn ranges(n: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
-    let chunk = n.div_ceil(threads).max(1);
-    (0..n.div_ceil(chunk))
-        .map(|t| (t * chunk)..((t + 1) * chunk).min(n))
-        .collect()
-}
-
-/// Runs an element-wise map over index ranges of `0..n`, concatenating
-/// per-range results in range order. With `threads <= 1` (or few items)
-/// this is exactly `f(0..n)`.
-pub fn fan_out_indices<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(std::ops::Range<usize>) -> Vec<R> + Sync,
-{
-    if threads <= 1 || n < PARALLEL_CUTOFF {
-        return f(0..n);
-    }
-    let ranges = ranges(n, threads);
-    let mut parts: Vec<Vec<R>> = Vec::new();
-    parts.resize_with(ranges.len(), Vec::new);
-    rayon::scope(|s| {
-        for (slot, range) in parts.iter_mut().zip(ranges) {
-            let f = &f;
-            s.spawn(move || *slot = f(range));
-        }
-    });
-    parts.into_iter().flatten().collect()
-}
-
-/// Runs an element-wise map over chunks of a shared slice.
-pub fn fan_out<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    if threads <= 1 || items.len() < PARALLEL_CUTOFF {
-        return f(items);
-    }
-    let chunk = items.len().div_ceil(threads).max(1);
-    let pieces: Vec<&[T]> = items.chunks(chunk).collect();
-    let mut parts: Vec<Vec<R>> = Vec::new();
-    parts.resize_with(pieces.len(), Vec::new);
-    rayon::scope(|s| {
-        for (slot, piece) in parts.iter_mut().zip(pieces) {
-            let f = &f;
-            s.spawn(move || *slot = f(piece));
-        }
-    });
-    parts.into_iter().flatten().collect()
-}
-
-/// Runs an element-wise map over disjoint mutable chunks of a slice —
-/// the shape of phases that advance vehicle state or drive the guards.
-pub fn fan_out_mut<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&mut [T]) -> Vec<R> + Sync,
-{
-    fan_out_mut_with_cutoff(items, threads, PARALLEL_CUTOFF, f)
-}
-
-/// [`fan_out_mut`] with an explicit inline cutoff. Per-vehicle phases
-/// keep [`PARALLEL_CUTOFF`] (thousands of cheap items), but coarse
-/// units of work — one city shard's whole tick — are worth a thread
-/// each even when there are only a handful of them.
+/// Runs an element-wise map over disjoint mutable chunks of `items`,
+/// concatenating the chunk results in order. Runs inline when
+/// `threads <= 1` or `items` has fewer than `cutoff` elements.
 pub fn fan_out_mut_with_cutoff<T, R, F>(
     items: &mut [T],
     threads: usize,
@@ -123,56 +49,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fan_out_indices_matches_serial_map() {
-        for n in [0usize, 1, 5, PARALLEL_CUTOFF, 1000, 1001] {
-            for threads in [1usize, 2, 3, 8] {
-                let out = fan_out_indices(n, threads, |range| {
-                    range.map(|i| i * 3 + 1).collect::<Vec<_>>()
-                });
-                let expected: Vec<usize> = (0..n).map(|i| i * 3 + 1).collect();
-                assert_eq!(out, expected, "n={n} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn fan_out_preserves_order_and_filtering() {
-        let items: Vec<u64> = (0..500).collect();
-        for threads in [1usize, 4] {
-            let out = fan_out(&items, threads, |chunk| {
-                chunk.iter().filter(|x| **x % 7 == 0).copied().collect()
-            });
-            let expected: Vec<u64> = items.iter().filter(|x| **x % 7 == 0).copied().collect();
-            assert_eq!(out, expected);
-        }
-    }
-
-    #[test]
-    fn fan_out_mut_applies_every_element_once() {
-        let mut items: Vec<u64> = vec![1; 999];
-        let echoed = fan_out_mut(&mut items, 5, |chunk| {
-            chunk
-                .iter_mut()
-                .map(|x| {
-                    *x += 1;
-                    *x
-                })
-                .collect()
-        });
-        assert!(items.iter().all(|x| *x == 2));
-        assert_eq!(echoed, items);
-    }
-
-    #[test]
     fn host_threads_is_positive() {
         assert!(host_threads() >= 1);
     }
 
     #[test]
-    fn cutoff_variant_matches_serial_at_any_cutoff() {
-        for n in [0usize, 1, 2, 7, 16] {
-            for threads in [1usize, 2, 8] {
-                for cutoff in [1usize, 2, PARALLEL_CUTOFF] {
+    fn fan_out_matches_serial_at_any_cutoff() {
+        for n in [0usize, 1, 2, 7, 16, 999] {
+            for threads in [1usize, 2, 5, 8] {
+                for cutoff in [1usize, 2, 64] {
                     let mut items: Vec<u64> = (0..n as u64).collect();
                     let mut expected = items.clone();
                     let serial: Vec<u64> = expected

@@ -21,17 +21,16 @@
 //! 1-shard city has no links, so its single shard stays bit-identical
 //! to a plain [`Simulation`] with the same config.
 
-use crate::config::{EngineChoice, SimConfig};
-use crate::engine::{fan_out_mut_with_cutoff, host_threads};
+use crate::config::SimConfig;
 use crate::metrics::SimMetrics;
 use crate::world::{Handoff, Simulation, StateHasher};
 use nwade_crypto::Digest;
+use nwade_exec::{fan_out_mut_with_cutoff, host_threads};
 use nwade_intersection::{IntersectionKind, LegId};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Shard-level work is coarse (a whole intersection tick), so even two
-/// shards are worth a thread each — unlike the per-vehicle phases,
-/// which only fan out past [`crate::engine::PARALLEL_CUTOFF`] items.
+/// shards are worth a thread each.
 const SHARD_CUTOFF: usize = 2;
 
 /// Each shard's generated vehicle ids start at `shard * this`, keeping
@@ -112,15 +111,12 @@ impl CityConfig {
 
     /// The config shard `i` runs under: the base with the shard's
     /// topology kind (cycling through the four supported kinds), a
-    /// decorrelated seed, a disjoint vehicle-id space, and the serial
-    /// per-vehicle engine — parallelism in a city comes from the shard
-    /// fan-out, not from nested per-vehicle threading.
+    /// decorrelated seed, and a disjoint vehicle-id space.
     pub fn shard_config(&self, i: usize) -> SimConfig {
         let mut cfg = self.base.clone();
         cfg.kind = SHARD_KINDS[i % SHARD_KINDS.len()];
         cfg.seed = self.base.seed.wrapping_add(i as u64);
         cfg.vehicle_id_base = i as u64 * SHARD_ID_STRIDE;
-        cfg.engine = EngineChoice::Serial;
         cfg
     }
 

@@ -33,28 +33,6 @@ pub enum SignatureChoice {
     },
 }
 
-/// How the per-vehicle tick phases execute.
-///
-/// Both engines run the exact same phase code over the same vehicle
-/// order; the parallel engine merely executes independent per-vehicle
-/// maps on worker threads and concatenates the results in chunk order.
-/// Reports are bit-identical across the two (covered by the
-/// `integration_perf_engines` differential test).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineChoice {
-    /// Run every phase inline on the calling thread.
-    Serial,
-    /// Fan per-vehicle phases out over a thread pool sized to the host.
-    Parallel,
-    /// Pick per tick: serial below a vehicle-count threshold derived
-    /// from the host's parallelism, threaded above it. On a 1-thread
-    /// host this is always serial — `BENCH_perf.json` showed the
-    /// parallel engine's scope-spawn overhead losing to the serial loop
-    /// at every density there.
-    #[default]
-    Auto,
-}
-
 /// The attack to inject, per Table I.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackPlan {
@@ -198,23 +176,6 @@ pub struct SimConfig {
     pub signature: SignatureChoice,
     /// Speed at which vehicles enter the modeled area, m/s.
     pub initial_speed: f64,
-    /// Tick-engine execution mode (results are identical either way).
-    pub engine: EngineChoice,
-    /// Use the uniform-grid spatial index for neighbourhood scans
-    /// (sensing, braking, collision, invariants) instead of the O(V²)
-    /// all-pairs sweeps. Observation sets are identical either way; the
-    /// flag exists for differential testing and perf baselines.
-    pub spatial_index: bool,
-    /// Run the AIM schedulers' retained linear probe loop instead of the
-    /// slot-seeking search. Plans are bit-identical either way; the flag
-    /// exists for differential testing and window-latency baselines.
-    pub probe_scheduler: bool,
-    /// Run processing windows through the pipelined engine: scheduling
-    /// and Merkle work on the tick thread, chain-serial signing on a
-    /// worker. Results are bit-identical to the sequential path (pinned
-    /// by the `integration_window_pipeline_diff` suite); the flag exists
-    /// for differential testing and window-latency baselines.
-    pub pipelined_windows: bool,
     /// Per-window admission policy applied to the pending-request queue
     /// before scheduling. The default (unbounded) admits everything in
     /// arrival order — the historical behaviour, bit-for-bit; a bounded
@@ -252,10 +213,6 @@ impl Default for SimConfig {
             seed: 0,
             signature: SignatureChoice::Mock,
             initial_speed: 15.0,
-            engine: EngineChoice::default(),
-            spatial_index: true,
-            probe_scheduler: false,
-            pipelined_windows: false,
             admission: AdmissionPolicy::default(),
             vehicle_id_base: 0,
         }

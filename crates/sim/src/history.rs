@@ -14,10 +14,9 @@
 //! confirmation).
 //!
 //! Replay is bit-identical **by construction**: a snapshot is a deep
-//! [`Simulation::clone`], the engine is a deterministic fixed-timestep
-//! loop whose only entropy source is the captured RNG, and worker
-//! threading never changes results (chunked fan-out, see
-//! `crate::engine`). [`WorldHistory::resimulate`] still *verifies* the
+//! [`Simulation::clone`] and the engine is a deterministic fixed-timestep
+//! loop whose only entropy source is the captured RNG.
+//! [`WorldHistory::resimulate`] still *verifies* the
 //! construction — every replayed tick's [`Simulation::state_hash`] is
 //! compared against the recorded original — so any determinism
 //! regression surfaces as a pinpointed divergence tick instead of a

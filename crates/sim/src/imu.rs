@@ -2,7 +2,7 @@
 //! wrapped in the malicious behaviours of threats iii/iv.
 
 use nwade::messages::IncidentReport;
-use nwade::{ManagerAction, NwadeManager, WindowPipeline};
+use nwade::{ManagerAction, NwadeManager};
 use nwade_aim::{corrupt, PlanRequest};
 use nwade_chain::{tamper, Block};
 use nwade_crypto::SignatureScheme;
@@ -108,7 +108,8 @@ impl ImuAgent {
 
     /// Processes one scheduling window. A malicious manager with
     /// `corrupt_next_block` set substitutes conflicting plans into the
-    /// properly signed block (it holds the key).
+    /// properly signed block (it holds the key); the swap fires at most
+    /// once per run.
     pub fn on_window(&mut self, requests: &[PlanRequest], now: f64) -> Vec<ImuAction> {
         let Some(action) = self.manager.on_window(requests, now) else {
             return Vec::new();
@@ -116,52 +117,16 @@ impl ImuAgent {
         let ManagerAction::BroadcastBlock(block) = action else {
             return vec![Self::convert(action)];
         };
-        let block = self.finalize_block(block, now);
-        vec![ImuAction::Broadcast(block)]
-    }
-
-    /// The pipelined variant of [`ImuAgent::on_window`]: scheduling,
-    /// conflict filtering and the Merkle root run on the calling thread
-    /// while the chain-serial signing happens on `pipeline`'s worker.
-    /// The window is drained before returning (the simulator's same-tick
-    /// discipline), so the returned actions — corruption hook included —
-    /// are identical to the sequential path.
-    pub fn on_window_pipelined(
-        &mut self,
-        requests: &[PlanRequest],
-        now: f64,
-        pipeline: &mut WindowPipeline,
-    ) -> Vec<ImuAction> {
-        let Some(prepared) = self.manager.prepare_window(requests, now) else {
-            return Vec::new();
-        };
-        pipeline.submit(prepared);
-        let mut actions = Vec::new();
-        for sealed in pipeline.drain() {
-            let ManagerAction::BroadcastBlock(block) = self.manager.absorb_sealed(sealed) else {
-                continue;
-            };
-            let block = self.finalize_block(block, now);
-            actions.push(ImuAction::Broadcast(block));
-        }
-        actions
-    }
-
-    /// Applies the pure-IM block-corruption attack to a freshly sealed
-    /// block when armed: conflicting plans are substituted and the block
-    /// re-signed (the compromised manager still holds the key). Fires at
-    /// most once per run; the block passes through unchanged when the
-    /// attack is off or the window lacks crossing traffic.
-    pub fn finalize_block(&mut self, block: Block, now: f64) -> Block {
         if self.malicious && self.corrupt_next_block && !self.corruption_emitted {
             if let Some(bad_plans) = corrupt::make_conflicting(block.plans(), &self.topology, now) {
                 self.corruption_emitted = true;
                 self.corrupt_next_block = false;
-                return tamper::resign_with_plans(&block, bad_plans, self.signer.as_ref());
+                let evil = tamper::resign_with_plans(&block, bad_plans, self.signer.as_ref());
+                return vec![ImuAction::Broadcast(evil)];
             }
             // Not enough crossing traffic in this window; try the next.
         }
-        block
+        vec![ImuAction::Broadcast(block)]
     }
 
     /// Handles an incident report. The malicious manager dismisses
@@ -327,35 +292,6 @@ mod tests {
             panic!()
         };
         assert!(nwade_aim::find_conflicts(block.plans(), a.manager.topology(), 0.5).is_empty());
-    }
-
-    /// The pipelined entry point produces byte-identical broadcasts to
-    /// the sequential one — including the one-shot corruption swap —
-    /// and leaves the manager at the same chain tip.
-    #[test]
-    fn pipelined_window_matches_sequential_including_corruption() {
-        let mut seq = agent(true);
-        let mut pipe = agent(true);
-        seq.corrupt_next_block = true;
-        pipe.corrupt_next_block = true;
-        let mut pipeline = WindowPipeline::for_manager(&pipe.manager);
-        for (w, n) in [(0u64, 8u64), (1, 4), (2, 6)] {
-            let reqs = requests(n, w * 100);
-            let now = w as f64 * 10.0;
-            let a = seq.on_window(&reqs, now);
-            let b = pipe.on_window_pipelined(&reqs, now, &mut pipeline);
-            assert_eq!(a.len(), b.len(), "window {w}");
-            for (x, y) in a.iter().zip(&b) {
-                let (ImuAction::Broadcast(x), ImuAction::Broadcast(y)) = (x, y) else {
-                    panic!("expected broadcasts");
-                };
-                assert_eq!(x.hash(), y.hash(), "window {w} diverged");
-                assert_eq!(x.signature(), y.signature());
-            }
-        }
-        assert!(seq.corruption_emitted);
-        assert_eq!(seq.corruption_emitted, pipe.corruption_emitted);
-        assert_eq!(seq.manager.chain_tip(), pipe.manager.chain_tip());
     }
 
     #[test]

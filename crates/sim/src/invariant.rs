@@ -221,19 +221,54 @@ impl InvariantChecker {
     /// violations; `min_gap` is the center-to-center distance below
     /// which two vehicles count as overlapping.
     ///
-    /// `grid` optionally narrows the overlap sweep to nearby candidates:
-    /// it must index `vehicles` by position in slice order. Candidates
-    /// come back in ascending index order and pass through the same
-    /// strict `< min_gap` predicate, so the pairs found — and the order
-    /// they are recorded in — match the all-pairs sweep exactly.
+    /// `grid` must index `vehicles` by position in slice order. Its
+    /// candidates come back in ascending index order and pass through
+    /// the same strict `< min_gap` predicate, so the pairs found — and
+    /// the order they are recorded in — match the all-pairs sweep.
     pub fn check_vehicles(
         &mut self,
         vehicles: &[VehicleSnapshot],
-        grid: Option<&GridIndex>,
+        grid: &GridIndex,
         collided: &HashSet<(u64, u64)>,
         min_gap: f64,
         now: f64,
     ) {
+        self.check_fsm(vehicles, now);
+        for (i, a) in vehicles.iter().enumerate() {
+            if !a.active {
+                continue;
+            }
+            // Query returns ascending indices; keeping only j > i walks
+            // the same (i, j) pairs the nested loop would.
+            for j in grid.query(a.position, min_gap) {
+                if j > i {
+                    self.check_overlap(a, &vehicles[j], collided, min_gap, now);
+                }
+            }
+        }
+    }
+
+    /// All-pairs oracle of [`InvariantChecker::check_vehicles`].
+    #[cfg(test)]
+    fn check_vehicles_all_pairs(
+        &mut self,
+        vehicles: &[VehicleSnapshot],
+        collided: &HashSet<(u64, u64)>,
+        min_gap: f64,
+        now: f64,
+    ) {
+        self.check_fsm(vehicles, now);
+        for (i, a) in vehicles.iter().enumerate() {
+            if !a.active {
+                continue;
+            }
+            for b in &vehicles[i + 1..] {
+                self.check_overlap(a, b, collided, min_gap, now);
+            }
+        }
+    }
+
+    fn check_fsm(&mut self, vehicles: &[VehicleSnapshot], now: f64) {
         for v in vehicles {
             if v.malicious || !v.active {
                 continue;
@@ -261,46 +296,33 @@ impl InvariantChecker {
                 );
             }
         }
-        for (i, a) in vehicles.iter().enumerate() {
-            if !a.active {
-                continue;
-            }
-            let consider = |this: &mut Self, b: &VehicleSnapshot| {
-                if !b.active {
-                    return;
-                }
-                let key = (a.id.raw().min(b.id.raw()), a.id.raw().max(b.id.raw()));
-                if collided.contains(&key) || this.reported_overlaps.contains(&key) {
-                    return;
-                }
-                if a.position.distance(b.position) < min_gap {
-                    this.reported_overlaps.insert(key);
-                    this.report.record(
-                        now,
-                        InvariantKind::VehicleOverlap,
-                        format!(
-                            "vehicles {} and {} overlap (gap < {min_gap:.2} m)",
-                            key.0, key.1
-                        ),
-                    );
-                }
-            };
-            match grid {
-                Some(grid) => {
-                    // Query returns ascending indices; keeping only j > i
-                    // walks the same (i, j) pairs the nested loop would.
-                    for j in grid.query(a.position, min_gap) {
-                        if j > i {
-                            consider(self, &vehicles[j]);
-                        }
-                    }
-                }
-                None => {
-                    for b in &vehicles[i + 1..] {
-                        consider(self, b);
-                    }
-                }
-            }
+    }
+
+    fn check_overlap(
+        &mut self,
+        a: &VehicleSnapshot,
+        b: &VehicleSnapshot,
+        collided: &HashSet<(u64, u64)>,
+        min_gap: f64,
+        now: f64,
+    ) {
+        if !b.active {
+            return;
+        }
+        let key = (a.id.raw().min(b.id.raw()), a.id.raw().max(b.id.raw()));
+        if collided.contains(&key) || self.reported_overlaps.contains(&key) {
+            return;
+        }
+        if a.position.distance(b.position) < min_gap {
+            self.reported_overlaps.insert(key);
+            self.report.record(
+                now,
+                InvariantKind::VehicleOverlap,
+                format!(
+                    "vehicles {} and {} overlap (gap < {min_gap:.2} m)",
+                    key.0, key.1
+                ),
+            );
         }
     }
 }
@@ -308,6 +330,11 @@ impl InvariantChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn grid(vs: &[VehicleSnapshot]) -> GridIndex {
+        let points: Vec<Vec2> = vs.iter().map(|v| v.position).collect();
+        GridIndex::build(2.0, &points)
+    }
 
     fn snapshot(id: u64, x: f64) -> VehicleSnapshot {
         VehicleSnapshot {
@@ -342,8 +369,8 @@ mod tests {
         let mut c = InvariantChecker::new();
         let vs = vec![snapshot(1, 0.0), snapshot(2, 0.5), snapshot(3, 100.0)];
         let collided = HashSet::new();
-        c.check_vehicles(&vs, None, &collided, 2.0, 1.0);
-        c.check_vehicles(&vs, None, &collided, 2.0, 1.1);
+        c.check_vehicles(&vs, &grid(&vs), &collided, 2.0, 1.0);
+        c.check_vehicles(&vs, &grid(&vs), &collided, 2.0, 1.1);
         assert_eq!(
             c.report().counts.get(&InvariantKind::VehicleOverlap),
             Some(&1),
@@ -353,7 +380,7 @@ mod tests {
         // an invariant violation.
         let mut c = InvariantChecker::new();
         let collided: HashSet<_> = [(1, 2)].into_iter().collect();
-        c.check_vehicles(&vs, None, &collided, 2.0, 1.0);
+        c.check_vehicles(&vs, &grid(&vs), &collided, 2.0, 1.0);
         assert!(c.report().is_clean());
     }
 
@@ -362,7 +389,8 @@ mod tests {
         let mut c = InvariantChecker::new();
         let mut v = snapshot(7, 0.0);
         v.mode_self_evacuate = true; // but guard not evacuating
-        c.check_vehicles(&[v], None, &HashSet::new(), 2.0, 3.0);
+        let vs = [v];
+        c.check_vehicles(&vs, &grid(&vs), &HashSet::new(), 2.0, 3.0);
         assert_eq!(
             c.report().counts.get(&InvariantKind::FsmConsistency),
             Some(&1)
@@ -372,31 +400,9 @@ mod tests {
         let mut v = snapshot(8, 0.0);
         v.mode_self_evacuate = true;
         v.malicious = true;
-        c.check_vehicles(&[v], None, &HashSet::new(), 2.0, 3.0);
+        let vs = [v];
+        c.check_vehicles(&vs, &grid(&vs), &HashSet::new(), 2.0, 3.0);
         assert!(c.report().is_clean());
-    }
-
-    #[test]
-    fn gridded_overlap_sweep_matches_all_pairs() {
-        // A line of vehicles with several overlapping pairs; the gridded
-        // sweep must record the same pairs in the same order.
-        let vs: Vec<VehicleSnapshot> = (0..40).map(|i| snapshot(i, i as f64 * 1.1)).collect();
-        let collided = HashSet::new();
-        let mut brute = InvariantChecker::new();
-        brute.check_vehicles(&vs, None, &collided, 2.0, 1.0);
-        let points: Vec<Vec2> = vs.iter().map(|v| v.position).collect();
-        let grid = GridIndex::build(2.0, &points);
-        let mut gridded = InvariantChecker::new();
-        gridded.check_vehicles(&vs, Some(&grid), &collided, 2.0, 1.0);
-        let details = |c: &InvariantChecker| {
-            c.report()
-                .violations
-                .iter()
-                .map(|v| v.detail.clone())
-                .collect::<Vec<_>>()
-        };
-        assert!(!brute.report().is_clean(), "fixture has overlaps");
-        assert_eq!(details(&brute), details(&gridded));
     }
 
     #[test]
@@ -410,5 +416,61 @@ mod tests {
         assert!(r.violations.len() <= 64);
         assert!(r.total() >= 100);
         assert!(!format!("{r}").is_empty());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The gridded overlap sweep records the same violations, in the
+        /// same order, as the all-pairs sweep: random layouts with
+        /// inactive and malicious vehicles, known collisions, FSM
+        /// mismatches, and a second pass that must not re-report.
+        #[test]
+        fn gridded_overlap_sweep_matches_all_pairs(
+            layout in proptest::collection::vec(
+                (-20.0..20.0f64, -20.0..20.0f64, any::<u8>()), 0..80),
+            min_gap in 0.5..4.0f64,
+            cell in 0.5..8.0f64,
+            collided_every in 1usize..6,
+        ) {
+            let vs: Vec<VehicleSnapshot> = layout
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y, flags))| VehicleSnapshot {
+                    id: VehicleId::new(i as u64),
+                    position: Vec2::new(x, y),
+                    active: flags & 0x07 != 0,
+                    malicious: flags & 0x38 == 0,
+                    evacuating: flags & 0x40 != 0,
+                    state_self_evacuation: flags & 0x40 != 0,
+                    mode_self_evacuate: flags & 0x80 != 0,
+                })
+                .collect();
+            let collided: HashSet<(u64, u64)> = (0..vs.len() as u64)
+                .step_by(collided_every)
+                .map(|i| (i, i + 1))
+                .collect();
+            let points: Vec<Vec2> = vs.iter().map(|v| v.position).collect();
+            let grid = GridIndex::build(cell, &points);
+            let mut gridded = InvariantChecker::new();
+            let mut brute = InvariantChecker::new();
+            for now in [1.0, 2.0] {
+                gridded.check_vehicles(&vs, &grid, &collided, min_gap, now);
+                brute.check_vehicles_all_pairs(&vs, &collided, min_gap, now);
+            }
+            let details = |c: &InvariantChecker| {
+                c.report()
+                    .violations
+                    .iter()
+                    .map(|v| v.detail.clone())
+                    .collect::<Vec<_>>()
+            };
+            prop_assert_eq!(gridded.report().total(), brute.report().total());
+            prop_assert_eq!(details(&gridded), details(&brute));
+        }
     }
 }

@@ -25,12 +25,12 @@
 pub mod adversary;
 pub mod city;
 pub mod config;
-pub mod engine;
 pub mod history;
 pub mod imu;
 pub mod invariant;
 pub mod metrics;
 pub mod report;
+mod scan;
 pub mod scenario;
 pub mod vehicle;
 pub mod world;
@@ -40,8 +40,8 @@ pub use adversary::{
 };
 pub use city::{CityConfig, CityGrid, CityReport, LinkSpec, ShardStats};
 pub use config::{
-    AttackPlan, CrashPlan, EngineChoice, ImOutage, SchedulerChoice, SignatureChoice, SimConfig,
-    StandbyConfig, StoreConfig,
+    AttackPlan, CrashPlan, ImOutage, SchedulerChoice, SignatureChoice, SimConfig, StandbyConfig,
+    StoreConfig,
 };
 pub use history::{
     Incident, IncidentKind, ReplayError, ReplayReport, WorldHistory, DEFAULT_CAPACITY,

@@ -34,12 +34,12 @@
 
 use crate::adversary::{AdaptiveState, AttackPolicy, SYBIL_ID_BASE};
 use crate::config::{ImOutage, SchedulerChoice, SignatureChoice, SimConfig};
-use crate::engine::{fan_out, fan_out_indices, fan_out_mut, observed_neighbors, resolve_threads};
 use crate::imu::{ImuAction, ImuAgent};
 use crate::invariant::{InvariantChecker, VehicleSnapshot};
 use crate::metrics::SimMetrics;
 use crate::report::SimReport;
-use crate::vehicle::{DriveMode, Role, VehicleAgent, MAX_LATERAL};
+use crate::scan::{braking_ids, collision_pairs, observed_neighbors, BrakeState};
+use crate::vehicle::{DriveMode, Role, VehicleAgent};
 use nwade::attack::{AttackSetting, ViolationKind};
 use nwade::messages::{
     class, GlobalClaim, GlobalReport, IncidentReport, NwadeMessage, Observation,
@@ -48,7 +48,7 @@ use nwade::messages::{
 use nwade::{CrashPoint, ImPersistence, RecoveryOutcome, StandbyManager, StandbyPolicy};
 use nwade::{
     EvacuationCause, GuardAction, ManagerAction, NwadeConfig, NwadeManager, RetryDecision,
-    VehicleGuard, WindowPipeline,
+    VehicleGuard,
 };
 use nwade_aim::TravelPlan;
 use nwade_aim::{
@@ -163,13 +163,6 @@ pub struct Simulation {
     /// times and deferral bookkeeping; `config.admission` decides which
     /// ones each window actually takes.
     pending_requests: AdmissionQueue,
-    /// Sealing worker for the pipelined window engine; lazily created on
-    /// the first pipelined window, rebuilt whenever the manager's chain
-    /// tip moves without it (restart, recovery, evacuation block).
-    window_pipeline: Option<WindowPipeline>,
-    /// The manager tip `(prev_hash, next_index)` the pipeline worker is
-    /// known to agree with — set right after every drained window.
-    pipeline_tip: Option<(Digest, u64)>,
     now: f64,
     metrics: SimMetrics,
     scheme: Arc<dyn SignatureScheme>,
@@ -229,8 +222,6 @@ pub struct Simulation {
     /// the split-brain double-sign attempt fencing must reject.
     #[cfg(feature = "store")]
     zombie: Option<(f64, NwadeManager)>,
-    /// Worker threads for the per-vehicle phases (1 = serial engine).
-    threads: usize,
     /// Ticks advanced since construction (the forensic clock: snapshot
     /// and rewind points are addressed by tick, not by float time).
     ticks: u64,
@@ -283,11 +274,6 @@ impl Clone for Simulation {
             vehicles: self.vehicles.clone(),
             spawn_queue: self.spawn_queue.clone(),
             pending_requests: self.pending_requests.clone(),
-            // The sealing worker is not cloned — it is drained within
-            // every window, so it never carries cross-tick state; the
-            // copy lazily respawns its own at the next pipelined window.
-            window_pipeline: None,
-            pipeline_tip: None,
             now: self.now,
             metrics: self.metrics.clone(),
             scheme: self.scheme.clone(),
@@ -322,7 +308,6 @@ impl Clone for Simulation {
             standby,
             #[cfg(feature = "store")]
             zombie: self.zombie.clone(),
-            threads: self.threads,
             ticks: self.ticks,
             boundary_exits: self.boundary_exits.clone(),
             outbound_handoffs: self.outbound_handoffs.clone(),
@@ -438,8 +423,6 @@ impl Simulation {
             vehicles: BTreeMap::new(),
             spawn_queue: spawns.into(),
             pending_requests: AdmissionQueue::new(),
-            window_pipeline: None,
-            pipeline_tip: None,
             now: 0.0,
             metrics: SimMetrics::default(),
             scheme,
@@ -474,7 +457,6 @@ impl Simulation {
             standby,
             #[cfg(feature = "store")]
             zombie: None,
-            threads: resolve_threads(config.engine),
             ticks: 0,
             boundary_exits: HashSet::new(),
             outbound_handoffs: Vec::new(),
@@ -652,7 +634,6 @@ impl Simulation {
     /// Runs one sensing pass immediately, ignoring the sense-interval
     /// cadence — isolates Algorithm 2 for latency measurements.
     pub fn force_sense_pass(&mut self) {
-        self.retune_threads();
         let now = self.now;
         self.sense_pass(now);
     }
@@ -716,24 +697,15 @@ impl Simulation {
 
     /// Drives `rounds` back-to-back processing windows over the current
     /// fleet and measures each one, re-offering every active vehicle per
-    /// round. In `pipelined` mode window `N+1`'s scheduling overlaps
-    /// window `N`'s signing on the sealing worker (sealed blocks are
-    /// collected opportunistically, the tail drained at the end);
-    /// sequential mode runs each window start-to-finish on the calling
-    /// thread. Both modes apply `config.admission` and drive the real
-    /// manager, but bypass the VANET and persistence layers — the
-    /// measured work is admission + scheduling + packaging + signing.
-    /// Returns the per-window points and the total plans sealed into
-    /// blocks.
-    pub fn bench_window_throughput(
-        &mut self,
-        rounds: usize,
-        pipelined: bool,
-    ) -> (Vec<WindowBenchPoint>, usize) {
+    /// round. Each window applies `config.admission` and drives the real
+    /// manager on the calling thread, but bypasses the VANET and
+    /// persistence layers — the measured work is admission, scheduling,
+    /// packaging and signing. Returns the per-window points and the
+    /// total plans sealed into blocks.
+    pub fn bench_window_throughput(&mut self, rounds: usize) -> (Vec<WindowBenchPoint>, usize) {
         let window = self.nwade_cfg().processing_window;
         let mut points = Vec::with_capacity(rounds);
         let mut sealed = 0usize;
-        let mut pipeline = pipelined.then(|| WindowPipeline::for_manager(&self.imu.manager));
         for _ in 0..rounds {
             self.now += window;
             let now = self.now;
@@ -741,26 +713,10 @@ impl Simulation {
             let start = std::time::Instant::now();
             let requests = self.admit_pending(now);
             let deferred = self.metrics.last_window_shed_gap;
-            match pipeline.as_mut() {
-                Some(pipeline) => {
-                    if let Some(prepared) = self.imu.manager.prepare_window(&requests, now) {
-                        pipeline.submit(prepared);
-                    }
-                    for block in pipeline.try_collect() {
-                        if let ManagerAction::BroadcastBlock(b) =
-                            self.imu.manager.absorb_sealed(block)
-                        {
-                            sealed += b.plans().len();
-                        }
-                    }
-                }
-                None => {
-                    if let Some(ManagerAction::BroadcastBlock(b)) =
-                        self.imu.manager.on_window(&requests, now)
-                    {
-                        sealed += b.plans().len();
-                    }
-                }
+            if let Some(ManagerAction::BroadcastBlock(b)) =
+                self.imu.manager.on_window(&requests, now)
+            {
+                sealed += b.plans().len();
             }
             points.push(WindowBenchPoint {
                 offered: requests.len() + deferred,
@@ -768,13 +724,6 @@ impl Simulation {
                 deferred,
                 latency_s: start.elapsed().as_secs_f64(),
             });
-        }
-        if let Some(mut pipeline) = pipeline {
-            for block in pipeline.drain() {
-                if let ManagerAction::BroadcastBlock(b) = self.imu.manager.absorb_sealed(block) {
-                    sealed += b.plans().len();
-                }
-            }
         }
         (points, sealed)
     }
@@ -913,7 +862,6 @@ impl Simulation {
 
         self.spawn_due(now);
         self.admit_inbound(now);
-        self.retune_threads();
         self.rerequest_plans(now);
         self.rebroadcast_announcements(now);
         self.deploy_attack(now);
@@ -943,15 +891,6 @@ impl Simulation {
         self.check_vehicle_invariants(now);
     }
 
-    /// Re-resolves the worker-thread count from the current fleet size.
-    /// Only [`EngineChoice::Auto`] actually varies: it drops to the
-    /// serial path while the fleet is too small for chunked fan-out to
-    /// amortize thread-spawn cost (thread count never changes results).
-    fn retune_threads(&mut self) {
-        self.threads =
-            crate::engine::resolve_threads_sized(self.config.engine, self.active_vehicle_count());
-    }
-
     /// Builds the manager + scheduler stack from the config (used at
     /// construction and again when crash recovery restarts the process).
     fn build_manager(
@@ -961,11 +900,6 @@ impl Simulation {
     ) -> NwadeManager {
         let sched_cfg = SchedulerConfig {
             limits: config.limits,
-            probe: config.probe_scheduler,
-            // The scheduler's read-only pre-pass fans out over request
-            // chunks; the fan-out primitives fall back to inline below
-            // their size cutoff, so small windows stay serial either way.
-            threads: resolve_threads(config.engine),
             ..SchedulerConfig::default()
         };
         let scheduler: Box<dyn Scheduler + Send> = match config.scheduler {
@@ -1106,8 +1040,6 @@ impl Simulation {
                 // from counting a second recovery later.
                 self.forced_outage = None;
                 self.im_was_down = false;
-                self.window_pipeline = None;
-                self.pipeline_tip = None;
                 self.metrics.standby_promotions += 1;
                 self.metrics.standby_windows_applied = windows;
                 if let Some(t) = self.metrics.im_crash_time {
@@ -1233,14 +1165,12 @@ impl Simulation {
             }
             CrashPoint::ProcessLoss => {
                 // The whole process is gone, page cache included: only
-                // synced bytes survive; the staged block, the pipeline
-                // worker and the persistence handle die with it. Nothing
+                // synced bytes survive; the staged block and the
+                // persistence handle die with it. Nothing
                 // restarts in place — darkness ends at standby promotion
                 // or, with no standby, after the cold rebuild downtime.
                 self.store_handle.crash(0);
                 self.persistence = None;
-                self.window_pipeline = None;
-                self.pipeline_tip = None;
                 if let Some(delay) = self.config.standby.zombie_delay {
                     // The "dead" primary was secretly only slow: its
                     // in-memory state (dying window absorbed) survives
@@ -1286,46 +1216,37 @@ impl Simulation {
         self.imu.manager.chain_tip()
     }
 
-    /// Ground-truth and protocol-consistency invariants, every tick.
-    /// Snapshotting is a pure per-vehicle map fanned out over the worker
-    /// pool; the overlap sweep runs over the pair grid when the spatial
-    /// index is enabled.
+    /// Ground-truth and protocol-consistency invariants, every tick; the
+    /// overlap sweep runs over the pair grid.
     fn check_vehicle_invariants(&mut self, now: f64) {
         let topo = &self.topo;
-        let actives: Vec<&VehicleAgent> =
-            self.vehicles.values().filter(|v| v.is_active()).collect();
-        let snaps = fan_out(&actives, self.threads, |chunk| {
-            chunk
-                .iter()
-                .map(|v| VehicleSnapshot {
-                    id: v.id,
-                    position: v.position(topo),
-                    active: true,
-                    malicious: v.is_malicious(),
-                    evacuating: v.guard.is_evacuating(),
-                    state_self_evacuation: v.guard.state()
-                        == nwade::fsm::vehicle::VehicleState::SelfEvacuation,
-                    mode_self_evacuate: v.mode == DriveMode::SelfEvacuate,
-                })
-                .collect()
-        });
-        drop(actives);
-        {
-            let scratch = &mut self.scratch;
-            scratch.snapshots.clear();
-            scratch.snapshots.extend(snaps);
-            if self.config.spatial_index {
-                scratch.points.clear();
-                scratch
-                    .points
-                    .extend(scratch.snapshots.iter().map(|s| s.position));
-                scratch.pair_grid.rebuild(&scratch.points);
-            }
-        }
-        let grid = self.config.spatial_index.then_some(&self.scratch.pair_grid);
+        let scratch = &mut self.scratch;
+        scratch.snapshots.clear();
+        scratch
+            .snapshots
+            .extend(
+                self.vehicles
+                    .values()
+                    .filter(|v| v.is_active())
+                    .map(|v| VehicleSnapshot {
+                        id: v.id,
+                        position: v.position(topo),
+                        active: true,
+                        malicious: v.is_malicious(),
+                        evacuating: v.guard.is_evacuating(),
+                        state_self_evacuation: v.guard.state()
+                            == nwade::fsm::vehicle::VehicleState::SelfEvacuation,
+                        mode_self_evacuate: v.mode == DriveMode::SelfEvacuate,
+                    }),
+            );
+        scratch.points.clear();
+        scratch
+            .points
+            .extend(scratch.snapshots.iter().map(|s| s.position));
+        scratch.pair_grid.rebuild(&scratch.points);
         self.invariants.check_vehicles(
             &self.scratch.snapshots,
-            grid,
+            &self.scratch.pair_grid,
             &self.collided,
             COLLISION_DISTANCE,
             now,
@@ -2035,161 +1956,38 @@ impl Simulation {
         // vehicle whose sensors see an obstacle ahead within its braking
         // envelope performs an emergency stop regardless of its plan —
         // real autonomy stacks never drive blindly into stopped traffic.
-        struct BrakeState {
-            id: u64,
-            pos: Vec2,
-            heading: Vec2,
-            speed: f64,
-            s: f64,
-            movement: nwade_intersection::MovementId,
-            lane: (nwade_intersection::LegId, usize),
-            in_approach: bool,
-            malicious: bool,
-            on_plan: bool,
-            /// Farthest arclength the current plan ever reaches (parked
-            /// plans stop short; everything else is unbounded).
-            plan_cap: f64,
-        }
         let topo = &self.topo;
-        let actives: Vec<&VehicleAgent> =
-            self.vehicles.values().filter(|v| v.is_active()).collect();
-        let states: Vec<BrakeState> = fan_out(&actives, self.threads, |chunk| {
-            chunk
-                .iter()
-                .map(|v| {
-                    let m = topo.movement(v.movement);
-                    BrakeState {
-                        id: v.id.raw(),
-                        pos: v.position(topo),
-                        heading: m.path().heading_at(v.s),
-                        speed: v.speed,
-                        s: v.s,
-                        movement: v.movement,
-                        lane: (m.from_leg(), m.from_lane()),
-                        in_approach: v.s < m.box_entry(),
-                        malicious: v.is_malicious(),
-                        on_plan: matches!(v.mode, DriveMode::FollowPlan | DriveMode::Cruise),
-                        plan_cap: match (&v.mode, &v.plan) {
-                            (DriveMode::FollowPlan, Some(p)) if p.profile().final_speed() < 0.1 => {
-                                p.profile().end_position()
-                            }
-                            _ => f64::INFINITY,
-                        },
-                    }
-                })
-                .collect()
-        });
-        drop(actives);
-        let d_max = self.config.limits.d_max;
-        // Conservative interaction radius for this tick: every rule below
-        // is distance-bounded. The arclength rules reach at most the
-        // braking envelope (paths are arclength-parameterized, so world
-        // distance never exceeds the arclength gap plus both lateral
-        // offsets); the headway cone reaches `cone`; the anticipation
-        // rule reaches 40 m. Anything outside the radius cannot satisfy
-        // any rule, so scanning only grid candidates is exact.
-        let max_speed = states.iter().fold(0.0_f64, |m, s| m.max(s.speed));
-        let brake_radius = (max_speed * max_speed / (2.0 * d_max) + 6.0)
-            .max(3.0 + max_speed * 1.2)
-            .max(40.0)
-            + 2.0 * MAX_LATERAL
-            + 4.0;
-        let grid = if self.config.spatial_index {
-            let scratch = &mut self.scratch;
-            scratch.points.clear();
-            scratch.points.extend(states.iter().map(|s| s.pos));
-            scratch.brake_grid.rebuild(&scratch.points);
-            Some(&self.scratch.brake_grid)
-        } else {
-            None
-        };
-        let braking: Vec<u64> = fan_out_indices(states.len(), self.threads, |range| {
-            range
-                .filter_map(|i| {
-                    let v = &states[i];
-                    // Attackers do not run the safety layer; stopped
-                    // vehicles creep back up and re-check as soon as they
-                    // move.
-                    if v.speed < 0.5 || v.malicious {
-                        return None;
-                    }
-                    let envelope = v.speed * v.speed / (2.0 * d_max) + 6.0;
-                    let cone = 3.0 + v.speed * 1.2; // one-plus time headway
-                    let obstructs = |u: &BrakeState| {
-                        if u.id == v.id {
-                            return false;
+        let states: Vec<BrakeState> = self
+            .vehicles
+            .values()
+            .filter(|v| v.is_active())
+            .map(|v| {
+                let m = topo.movement(v.movement);
+                BrakeState {
+                    id: v.id.raw(),
+                    pos: v.position(topo),
+                    heading: m.path().heading_at(v.s),
+                    speed: v.speed,
+                    s: v.s,
+                    movement: v.movement,
+                    lane: (m.from_leg(), m.from_lane()),
+                    in_approach: v.s < m.box_entry(),
+                    malicious: v.is_malicious(),
+                    on_plan: matches!(v.mode, DriveMode::FollowPlan | DriveMode::Cruise),
+                    plan_cap: match (&v.mode, &v.plan) {
+                        (DriveMode::FollowPlan, Some(p)) if p.profile().final_speed() < 0.1 => {
+                            p.profile().end_position()
                         }
-                        // A (near-)stopped obstacle on the own path or the shared
-                        // approach of the own lane, within braking range. Plans
-                        // are conflict-free, so moving plan-followers never need
-                        // this; it fires for crash sites and freshly stopped
-                        // attackers the plans have not caught up with.
-                        let comparable = u.movement == v.movement
-                            || (u.lane == v.lane && u.in_approach && v.in_approach);
-                        // A follower whose own plan already stops short of the
-                        // obstacle needs no physical intervention.
-                        if comparable && u.s > v.s && v.plan_cap > u.s - 2.0 {
-                            // Off-plan leaders (evacuating, braking, attacking)
-                            // may keep slowing arbitrarily: keep the full
-                            // relative stopping distance to them. On-plan leaders
-                            // are covered by the scheduler's zone gaps unless
-                            // they are (nearly) stopped.
-                            if !u.on_plan && u.speed < v.speed {
-                                let rel_stop =
-                                    (v.speed * v.speed - u.speed * u.speed) / (2.0 * d_max) + 4.0;
-                                if u.s - v.s < rel_stop {
-                                    return true;
-                                }
-                            }
-                            if u.speed < 3.0 && u.s - v.s < envelope {
-                                return true;
-                            }
-                        }
-                        // The world-space rules below exist for uncoordinated
-                        // (off-plan) traffic; two plan-followers are deconflicted
-                        // by the scheduler, and straight-line extrapolation would
-                        // misfire at lane merges.
-                        if u.on_plan && v.on_plan {
-                            return false;
-                        }
-                        // Anything directly ahead inside the headway cone — this
-                        // is what keeps uncoordinated (self-evacuating) traffic
-                        // from driving through each other.
-                        let rel = u.pos - v.pos;
-                        let ahead = rel.dot(v.heading);
-                        if ahead > 0.0 && ahead < cone && rel.cross(v.heading).abs() < 2.2 {
-                            return true;
-                        }
-                        // Anticipated collision course: if straight-line motion
-                        // brings the two within 3.5 m in the next 2 s, brake —
-                        // but never for traffic *behind* (a leader braking for
-                        // its follower freezes the closure speed and guarantees
-                        // the rear-end it was trying to avoid).
-                        if ahead > 0.0 && rel.norm() < 40.0 {
-                            let dv = u.heading * u.speed - v.heading * v.speed;
-                            let dv_sq = dv.norm_sq();
-                            let t_star = if dv_sq < 1e-9 {
-                                0.0
-                            } else {
-                                (-rel.dot(dv) / dv_sq).clamp(0.0, 2.0)
-                            };
-                            if (rel + dv * t_star).norm() < 3.5 {
-                                return true;
-                            }
-                        }
-                        false
-                    };
-                    let blocked = match grid {
-                        Some(grid) => grid
-                            .query(v.pos, brake_radius)
-                            .into_iter()
-                            .any(|j| obstructs(&states[j])),
-                        None => states.iter().any(obstructs),
-                    };
-                    blocked.then_some(v.id)
-                })
-                .collect()
-        });
+                        _ => f64::INFINITY,
+                    },
+                }
+            })
+            .collect();
+        let scratch = &mut self.scratch;
+        scratch.points.clear();
+        scratch.points.extend(states.iter().map(|s| s.pos));
+        scratch.brake_grid.rebuild(&scratch.points);
+        let braking = braking_ids(&states, &scratch.brake_grid, self.config.limits.d_max);
         for id in braking {
             if let Some(agent) = self.vehicles.get_mut(&id) {
                 agent.emergency_brake(&self.config.limits, self.config.dt);
@@ -2197,34 +1995,27 @@ impl Simulation {
         }
         // Advance every active vehicle: a pure per-vehicle map returning
         // (id, crossed the path end, new position). Side effects — medium
-        // position updates and exit finalization — replay serially in ID
-        // order, exactly as the serial engine interleaved them.
+        // position updates and exit finalization — replay afterwards in
+        // ID order.
         let limits = self.config.limits;
         let dt = self.config.dt;
-        let topo = self.topo.clone();
-        let mut movers: Vec<&mut VehicleAgent> = self
+        let topo = &self.topo;
+        let outcomes: Vec<(u64, bool, Option<Vec2>)> = self
             .vehicles
             .values_mut()
             .filter(|v| v.is_active())
+            .map(|agent| {
+                if agent.braked_this_tick {
+                    agent.braked_this_tick = false;
+                    let crossed = agent.s >= topo.movement(agent.movement).path().length();
+                    (agent.id.raw(), crossed, None)
+                } else if agent.step(topo, &limits, dt, now) {
+                    (agent.id.raw(), true, None)
+                } else {
+                    (agent.id.raw(), false, Some(agent.position(topo)))
+                }
+            })
             .collect();
-        let outcomes: Vec<(u64, bool, Option<Vec2>)> =
-            fan_out_mut(&mut movers, self.threads, |chunk| {
-                chunk
-                    .iter_mut()
-                    .map(|agent| {
-                        if agent.braked_this_tick {
-                            agent.braked_this_tick = false;
-                            let crossed = agent.s >= topo.movement(agent.movement).path().length();
-                            (agent.id.raw(), crossed, None)
-                        } else if agent.step(&topo, &limits, dt, now) {
-                            (agent.id.raw(), true, None)
-                        } else {
-                            (agent.id.raw(), false, Some(agent.position(&topo)))
-                        }
-                    })
-                    .collect()
-            });
-        drop(movers);
         let mut exited: Vec<u64> = Vec::new();
         for (id, crossed, pos) in outcomes {
             if crossed {
@@ -2313,48 +2104,20 @@ impl Simulation {
     }
 
     fn detect_collisions(&mut self) {
-        {
-            let scratch = &mut self.scratch;
-            scratch.positions.clear();
-            scratch.positions.extend(
-                self.vehicles
-                    .values()
-                    .filter(|v| v.is_active())
-                    .map(|v| (v.id.raw(), v.position(&self.topo))),
-            );
-            if self.config.spatial_index {
-                scratch.points.clear();
-                scratch
-                    .points
-                    .extend(scratch.positions.iter().map(|(_, p)| *p));
-                scratch.pair_grid.rebuild(&scratch.points);
-            }
-        }
-        // Candidate pairs in the nested loop's (i, j) order: the grid
-        // query returns ascending indices, so keeping j > i walks exactly
-        // the pairs `for i { for j in i+1.. }` would, through the same
-        // strict distance predicate.
-        let states = &self.scratch.positions;
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
-        let r_sq = COLLISION_DISTANCE * COLLISION_DISTANCE;
-        if self.config.spatial_index {
-            let grid = &self.scratch.pair_grid;
-            for i in 0..states.len() {
-                for j in grid.query(states[i].1, COLLISION_DISTANCE) {
-                    if j > i && states[i].1.distance_sq(states[j].1) < r_sq {
-                        pairs.push((states[i].0, states[j].0));
-                    }
-                }
-            }
-        } else {
-            for i in 0..states.len() {
-                for j in i + 1..states.len() {
-                    if states[i].1.distance_sq(states[j].1) < r_sq {
-                        pairs.push((states[i].0, states[j].0));
-                    }
-                }
-            }
-        }
+        let scratch = &mut self.scratch;
+        scratch.positions.clear();
+        scratch.positions.extend(
+            self.vehicles
+                .values()
+                .filter(|v| v.is_active())
+                .map(|v| (v.id.raw(), v.position(&self.topo))),
+        );
+        scratch.points.clear();
+        scratch
+            .points
+            .extend(scratch.positions.iter().map(|(_, p)| *p));
+        scratch.pair_grid.rebuild(&scratch.points);
+        let pairs = collision_pairs(&scratch.positions, &scratch.pair_grid, COLLISION_DISTANCE);
         for (a_id, b_id) in pairs {
             let key = (a_id.min(b_id), a_id.max(b_id));
             if self.collided.insert(key) {
@@ -2390,69 +2153,54 @@ impl Simulation {
     /// Algorithm 2 for every benign vehicle: observe neighbours in range,
     /// run the guard. The pass snapshots `(id, position, speed)` of every
     /// active vehicle first — the guards only mutate protocol state, so
-    /// the snapshot equals the live values the serial loop read — then
-    /// fans the guard calls out over the worker pool. Actions replay
-    /// serially in ID order.
+    /// the snapshot equals the live values — then runs every guard and
+    /// only afterwards replays their actions in ID order.
     fn sense_pass(&mut self, now: f64) {
         if !self.config.nwade_enabled {
             return;
         }
         let radius = self.nwade_cfg().sensing_radius;
-        {
-            let scratch = &mut self.scratch;
-            scratch.sense.clear();
-            scratch.sense.extend(
-                self.vehicles
-                    .values()
-                    .filter(|v| v.is_active())
-                    .map(|v| (v.id.raw(), v.position(&self.topo), v.speed)),
-            );
-            if self.config.spatial_index {
-                scratch.points.clear();
-                scratch
-                    .points
-                    .extend(scratch.sense.iter().map(|(_, p, _)| *p));
-                scratch.sense_grid.rebuild(&scratch.points);
-            }
-        }
-        let snapshot = self.scratch.sense.as_slice();
-        let grid = self
-            .config
-            .spatial_index
-            .then_some(&self.scratch.sense_grid);
-        let topo = self.topo.clone();
-        let mut sensors: Vec<&mut VehicleAgent> = self
+        let scratch = &mut self.scratch;
+        scratch.sense.clear();
+        scratch.sense.extend(
+            self.vehicles
+                .values()
+                .filter(|v| v.is_active())
+                .map(|v| (v.id.raw(), v.position(&self.topo), v.speed)),
+        );
+        scratch.points.clear();
+        scratch
+            .points
+            .extend(scratch.sense.iter().map(|(_, p, _)| *p));
+        scratch.sense_grid.rebuild(&scratch.points);
+        let snapshot = scratch.sense.as_slice();
+        let grid = &scratch.sense_grid;
+        let topo = &self.topo;
+        let all_actions: Vec<(u64, Vec<GuardAction>)> = self
             .vehicles
             .values_mut()
             .filter(|v| v.is_active() && v.role == Role::Benign)
+            .filter_map(|agent| {
+                let id = agent.id.raw();
+                let me = agent.position(topo);
+                let observations: Vec<Observation> =
+                    observed_neighbors(snapshot, grid, id, me, radius)
+                        .into_iter()
+                        .map(|i| {
+                            let (other, position, speed) = snapshot[i];
+                            Observation {
+                                target: VehicleId::new(other),
+                                position,
+                                speed,
+                                time: now,
+                            }
+                        })
+                        .collect();
+                let mut actions = agent.guard.on_observations(&observations, now);
+                actions.extend(agent.guard.on_tick(now));
+                (!actions.is_empty()).then_some((id, actions))
+            })
             .collect();
-        let all_actions: Vec<(u64, Vec<GuardAction>)> =
-            fan_out_mut(&mut sensors, self.threads, |chunk| {
-                chunk
-                    .iter_mut()
-                    .filter_map(|agent| {
-                        let id = agent.id.raw();
-                        let me = agent.position(&topo);
-                        let observations: Vec<Observation> =
-                            observed_neighbors(snapshot, grid, id, me, radius)
-                                .into_iter()
-                                .map(|i| {
-                                    let (other, position, speed) = snapshot[i];
-                                    Observation {
-                                        target: VehicleId::new(other),
-                                        position,
-                                        speed,
-                                        time: now,
-                                    }
-                                })
-                                .collect();
-                        let mut actions = agent.guard.on_observations(&observations, now);
-                        actions.extend(agent.guard.on_tick(now));
-                        (!actions.is_empty()).then_some((id, actions))
-                    })
-                    .collect()
-            });
-        drop(sensors);
         for (id, actions) in all_actions {
             self.handle_guard_actions(VehicleId::new(id), actions, now);
         }
@@ -3166,31 +2914,6 @@ impl Simulation {
             .collect()
     }
 
-    /// Runs the window through the pipelined engine: prepare on the tick
-    /// thread, sign on the sealing worker, absorb back — drained within
-    /// the same call, so the actions are bit-identical to
-    /// [`ImuAgent::on_window`] (pinned by the differential suite). The
-    /// worker signs against a private tip copy, so the pipeline is
-    /// rebuilt whenever the manager's tip moved without it (restart,
-    /// warm recovery, evacuation block).
-    fn pipelined_window_actions(&mut self, requests: &[PlanRequest], now: f64) -> Vec<ImuAction> {
-        let tip = (
-            self.imu.manager.chain_tip(),
-            self.imu.manager.chain_next_index(),
-        );
-        if self.window_pipeline.is_none() || self.pipeline_tip != Some(tip) {
-            self.window_pipeline = Some(WindowPipeline::for_manager(&self.imu.manager));
-        }
-        let mut pipeline = self.window_pipeline.take().expect("pipeline just ensured");
-        let actions = self.imu.on_window_pipelined(requests, now, &mut pipeline);
-        self.pipeline_tip = Some((
-            self.imu.manager.chain_tip(),
-            self.imu.manager.chain_next_index(),
-        ));
-        self.window_pipeline = Some(pipeline);
-        actions
-    }
-
     fn process_window(&mut self, now: f64) {
         let requests = self.admit_pending(now);
         if requests.is_empty() {
@@ -3212,11 +2935,7 @@ impl Simulation {
             // Track the corrupted block's index for metric attribution.
             let will_corrupt =
                 self.imu.malicious && self.imu.corrupt_next_block && !self.imu.corruption_emitted;
-            let actions = if self.config.pipelined_windows {
-                self.pipelined_window_actions(&requests, now)
-            } else {
-                self.imu.on_window(&requests, now)
-            };
+            let actions = self.imu.on_window(&requests, now);
             if will_corrupt && self.imu.corruption_emitted {
                 if let Some(ImuAction::Broadcast(b)) = actions.first() {
                     self.corrupted_index = Some(b.index());
@@ -3340,9 +3059,7 @@ pub struct WindowBenchPoint {
     pub admitted: usize,
     /// Requests the admission cap deferred to a later window.
     pub deferred: usize,
-    /// Wall-clock seconds the tick thread spent on the window —
-    /// admission + scheduling + conflict filter + Merkle root, plus
-    /// signing in sequential mode (in pipelined mode the signing
-    /// overlaps the next window on the sealing worker).
+    /// Wall-clock seconds spent on the window: admission, scheduling,
+    /// conflict filter, Merkle root and signing.
     pub latency_s: f64,
 }

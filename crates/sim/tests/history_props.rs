@@ -1,5 +1,5 @@
 //! Property test for the forensics contract: for *any* scenario — random
-//! demand, engine, attack, adversary policy, manager outage, and
+//! demand, attack, adversary policy, manager outage, and
 //! crash-point injection — recording a run through [`WorldHistory`] and
 //! resimulating from any retained snapshot reproduces the original
 //! tick-stream hashes bit-identically.
@@ -13,8 +13,8 @@
 use nwade::attack::{AttackSetting, ViolationKind};
 use nwade::CrashPoint;
 use nwade_sim::{
-    AdaptivePlan, AttackPlan, AttackPolicy, CliquePlan, CrashPlan, EngineChoice, ImOutage,
-    SimConfig, Simulation, SybilPlan, WorldHistory,
+    AdaptivePlan, AttackPlan, AttackPolicy, CliquePlan, CrashPlan, ImOutage, SimConfig, Simulation,
+    SybilPlan, WorldHistory,
 };
 use proptest::prelude::*;
 
@@ -36,14 +36,6 @@ enum AdversaryDraw {
         count: usize,
         interval: f64,
     },
-}
-
-fn engine_strategy() -> impl Strategy<Value = EngineChoice> {
-    prop_oneof![
-        Just(EngineChoice::Serial),
-        Just(EngineChoice::Parallel),
-        Just(EngineChoice::Auto),
-    ]
 }
 
 /// `Some((setting, violation, start fraction))` half the time.
@@ -105,18 +97,17 @@ fn crash_strategy() -> impl Strategy<Value = Option<(f64, CrashPoint, f64)>> {
 
 #[allow(clippy::type_complexity)]
 fn build_config(
-    base: (f64, f64, u64, EngineChoice),
+    base: (f64, f64, u64),
     attack: Option<(AttackSetting, ViolationKind, f64)>,
     adversary: Option<AdversaryDraw>,
     outage: Option<(f64, f64)>,
     crash: Option<(f64, CrashPoint, f64)>,
 ) -> SimConfig {
-    let (duration, density, seed, engine) = base;
+    let (duration, density, seed) = base;
     let mut config = SimConfig::default();
     config.duration = duration;
     config.density = density;
     config.seed = seed;
-    config.engine = engine;
     config.attack = attack.map(|(setting, violation, frac)| AttackPlan {
         setting,
         violation,
@@ -163,7 +154,7 @@ proptest! {
     /// matching the original, and the final states are bit-identical.
     #[test]
     fn any_rewind_point_replays_bit_identically(
-        base in (18.0..32.0f64, 15.0..45.0f64, any::<u64>(), engine_strategy()),
+        base in (18.0..32.0f64, 15.0..45.0f64, any::<u64>()),
         attack in attack_strategy(),
         adversary in adversary_strategy(),
         faults in (outage_strategy(), crash_strategy()),

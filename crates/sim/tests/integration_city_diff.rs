@@ -10,7 +10,7 @@
 //! per-tick hash trace at 1, 2, and the host's maximum threads.
 
 use nwade::attack::{AttackSetting, ViolationKind};
-use nwade_sim::engine::host_threads;
+use nwade_exec::host_threads;
 use nwade_sim::{AttackPlan, CityConfig, CityGrid, ImOutage, SimConfig, Simulation};
 
 /// Runs a 1-shard city and a plain simulation of the identical config

@@ -1,36 +1,26 @@
 //! Differential test for time-travel forensics: recording a run through
 //! [`WorldHistory`] and resimulating from any captured rewind point must
 //! reproduce the original run bit-identically — across the plain,
-//! attack, and chaos scenarios and across every tick engine.
+//! attack, and chaos scenarios.
 //!
 //! The replay engine verifies each re-executed tick's state hash against
-//! the recorded stream, so any nondeterminism (in the engines, the RNG
+//! the recorded stream, so any nondeterminism (in the tick, the RNG
 //! capture, the durable-store fork, or the snapshot deep-clone) surfaces
 //! as a pinpointed [`ReplayError::Divergence`] rather than a silently
 //! wrong forensic conclusion.
 
 use nwade_repro::nwade::attack::{AttackSetting, ViolationKind};
-use nwade_repro::sim::{
-    AttackPlan, EngineChoice, ImOutage, IncidentKind, SimConfig, Simulation, WorldHistory,
-};
+use nwade_repro::sim::{AttackPlan, ImOutage, IncidentKind, SimConfig, Simulation, WorldHistory};
 
 /// Snapshot cadence for the recordings: every 5 s of simulated time.
 const CADENCE: u64 = 50;
 /// Ring capacity: the newest 8 unpinned snapshots stay rewindable.
 const CAPACITY: usize = 8;
 
-fn record(mut config: SimConfig, engine: EngineChoice) -> WorldHistory {
-    config.engine = engine;
+fn record(config: SimConfig) -> WorldHistory {
     let mut history = WorldHistory::new(CADENCE, CAPACITY);
     let _ = Simulation::new(config).run_with(|sim| history.observe(sim));
     history
-}
-
-fn hash_stream(history: &WorldHistory) -> Vec<u64> {
-    let last = history.last_tick().expect("recorded run is non-empty");
-    (1..=last)
-        .map(|t| history.hash_at(t).expect("hash for every observed tick"))
-        .collect()
 }
 
 /// Replays the recording from its rewind points and asserts the
@@ -107,41 +97,11 @@ fn check_replays(label: &str, history: &WorldHistory) {
     }
 }
 
-/// Records the scenario under all three engines, asserts the per-tick
-/// hash streams are identical across them, and checks replays of each.
-fn check_scenario(label: &str, config: SimConfig) -> Vec<WorldHistory> {
-    let serial = record(config.clone(), EngineChoice::Serial);
-    let parallel = record(config.clone(), EngineChoice::Parallel);
-    let auto = record(config, EngineChoice::Auto);
-
-    let reference = hash_stream(&serial);
-    assert_eq!(
-        reference,
-        hash_stream(&parallel),
-        "{label}: parallel hash stream diverges from serial"
-    );
-    assert_eq!(
-        reference,
-        hash_stream(&auto),
-        "{label}: auto hash stream diverges from serial"
-    );
-
-    // Incidents are derived from the hash-identical runs, so they must
-    // match tick-for-tick too.
-    let pins = |h: &WorldHistory| -> Vec<(u64, IncidentKind)> {
-        h.incidents().iter().map(|i| (i.tick, i.kind)).collect()
-    };
-    assert_eq!(pins(&serial), pins(&parallel), "{label}: incident pins");
-    assert_eq!(pins(&serial), pins(&auto), "{label}: incident pins");
-
-    for (engine, history) in [
-        ("serial", &serial),
-        ("parallel", &parallel),
-        ("auto", &auto),
-    ] {
-        check_replays(&format!("{label}/{engine}"), history);
-    }
-    vec![serial, parallel, auto]
+/// Records the scenario and checks replays of it.
+fn check_scenario(label: &str, config: SimConfig) -> WorldHistory {
+    let history = record(config);
+    check_replays(label, &history);
+    history
 }
 
 #[test]
@@ -164,10 +124,10 @@ fn attack_scenario_replays_bit_identically() {
         violation: ViolationKind::LaneDeviation,
         start: 50.0,
     });
-    let histories = check_scenario("attack", config);
+    let history = check_scenario("attack", config);
     // The detection path itself must be a captured rewind point.
     assert!(
-        histories[0]
+        history
             .incidents()
             .iter()
             .any(|i| i.kind == IncidentKind::ViolationConfirmed),
@@ -190,11 +150,11 @@ fn chaos_outage_scenario_replays_bit_identically() {
         start: 50.0,
         duration: 20.0,
     });
-    let histories = check_scenario("chaos", config);
+    let history = check_scenario("chaos", config);
     // The outage forces reporters to time out and self-evacuate; each
     // wave is an auto-captured incident.
     assert!(
-        histories[0]
+        history
             .incidents()
             .iter()
             .any(|i| i.kind == IncidentKind::BenignSelfEvacuation),
