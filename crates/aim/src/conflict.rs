@@ -7,7 +7,7 @@
 //! tampered or equivocating plan set is caught deterministically.
 
 use crate::plan::TravelPlan;
-use crate::reservation::{occupancy_of, ReservationTable};
+use crate::reservation::{occupancy_of, Occupancy, ReservationTable};
 use nwade_intersection::Topology;
 use nwade_traffic::VehicleId;
 
@@ -21,16 +21,37 @@ pub fn find_conflicts(
     topology: &Topology,
     gap: f64,
 ) -> Vec<(VehicleId, VehicleId)> {
-    let mut table = ReservationTable::new();
+    let occupancies: Vec<Occupancy> = plans
+        .iter()
+        .map(|plan| occupancy_of(topology.movement(plan.movement()), plan.profile()))
+        .collect();
+    reserve_checked(&mut ReservationTable::new(), plans, &occupancies, gap)
+}
+
+/// [`find_conflicts`] over occupancies the caller already holds
+/// (`occupancies[i]` belongs to `plans[i]`), booking every plan into
+/// `table` on the way: each plan is checked against the bookings before
+/// it (other vehicles' only) and then booked, and the result pairs each
+/// conflicting plan with the first holder found, ordered and deduped.
+/// The filled table is left for further probes.
+///
+/// # Panics
+///
+/// Panics when the two slices differ in length.
+pub fn reserve_checked(
+    table: &mut ReservationTable,
+    plans: &[TravelPlan],
+    occupancies: &[Occupancy],
+    gap: f64,
+) -> Vec<(VehicleId, VehicleId)> {
+    assert_eq!(plans.len(), occupancies.len(), "one occupancy per plan");
     let mut conflicts = Vec::new();
-    for plan in plans {
-        let movement = topology.movement(plan.movement());
-        let occupancy = occupancy_of(movement, plan.profile());
-        if let Some((_, holder)) = table.first_conflict(&occupancy, gap, Some(plan.id())) {
+    for (plan, occupancy) in plans.iter().zip(occupancies) {
+        if let Some((_, holder)) = table.first_conflict(occupancy, gap, Some(plan.id())) {
             let pair = (holder.min(plan.id()), holder.max(plan.id()));
             conflicts.push(pair);
         }
-        table.reserve(plan.id(), &occupancy);
+        table.reserve(plan.id(), occupancy);
     }
     conflicts.sort_unstable();
     conflicts.dedup();

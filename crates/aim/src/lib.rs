@@ -14,7 +14,8 @@
 //! * [`ReservationScheduler`] — the DASH stand-in,
 //! * [`FcfsScheduler`], [`TrafficLightScheduler`] — baselines,
 //! * [`find_conflicts`] — the conflict check vehicles run on received
-//!   blocks (Algorithm 1, step ii),
+//!   blocks (Algorithm 1, step ii); [`reserve_checked`] runs it on
+//!   occupancies the caller already holds and keeps the bookings,
 //! * [`AdmissionQueue`] — fairness-aware per-window admission with a
 //!   starvation-bounding aged class (applied by the host before
 //!   scheduling),
@@ -38,11 +39,13 @@ pub mod traffic_light;
 pub use admission::{
     AdmissionOrder, AdmissionOutcome, AdmissionPolicy, AdmissionQueue, QueuedRequest,
 };
-pub use conflict::find_conflicts;
+pub use conflict::{find_conflicts, reserve_checked};
 pub use evacuation::EvacuationPlanner;
 pub use fcfs::FcfsScheduler;
 pub use plan::{PlanRequest, TravelPlan, VehicleStatus};
-pub use reservation::{occupancy_into, occupancy_of, park_fallback, Blocking, ReservationTable};
+pub use reservation::{
+    occupancy_into, occupancy_of, park_fallback, Blocking, Occupancy, ReservationTable,
+};
 pub use scheduler::{ReservationScheduler, Scheduler, SchedulerConfig, SchedulerState};
 pub use seek::{EntrySeeker, SeekScratch};
 pub use traffic_light::TrafficLightScheduler;

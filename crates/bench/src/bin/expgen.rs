@@ -7,28 +7,9 @@
 //! ```
 
 use nwade_bench::{
-    analytic, chaos, city, detect, duration, fig4, fig5, fig6, fig7, fig8, perf, recovery, rounds,
-    sensing, table1, table2, violations,
+    analytic, chaos, check, city, detect, duration, fig4, fig5, fig6, fig7, fig8, perf, recovery,
+    rounds, sensing, table1, table2, violations, EXPERIMENTS, GUARDS,
 };
-
-const EXPERIMENTS: [&str; 16] = [
-    "table1",
-    "table2",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "eq2",
-    "eq3",
-    "sensing",
-    "violations",
-    "chaos",
-    "recovery",
-    "perf",
-    "detect",
-    "city",
-];
 
 fn run(name: &str, r: u64, d: f64) -> Result<(), String> {
     let out = match name {
@@ -37,7 +18,7 @@ fn run(name: &str, r: u64, d: f64) -> Result<(), String> {
         "fig4" => fig4::report(r, d),
         "fig5" => fig5::report(r, d),
         "fig6" => fig6::report(),
-        "fig7" => fig7::report(d, 7),
+        "fig7" => fig7::report(d, fig7::SEED),
         "fig8" => fig8::report(r.min(3), d),
         "eq2" => analytic::eq2_report(),
         "eq3" => analytic::eq3_report(),
@@ -48,10 +29,6 @@ fn run(name: &str, r: u64, d: f64) -> Result<(), String> {
         "perf" => perf::report(),
         "detect" => detect::report(),
         "city" => city::report(),
-        // Not in EXPERIMENTS (and so not in `all`): the guards compare
-        // against committed baselines, so running them right after the
-        // generating experiment rewrote those baselines would be
-        // vacuous.
         "perf-guard" => perf::guard()?,
         "detect-guard" => detect::guard()?,
         "city-guard" => city::guard()?,
@@ -66,8 +43,9 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
-            "usage: expgen <experiment>...\n  experiments: {} | all | perf-guard | detect-guard | city-guard | recovery-guard\n  env: NWADE_ROUNDS (default 10), NWADE_DURATION (default 150)",
-            EXPERIMENTS.join(" | ")
+            "usage: expgen <experiment>...\n  experiments: {} | all | {}\n  env: NWADE_ROUNDS (default 10), NWADE_DURATION (default 150)",
+            EXPERIMENTS.join(" | "),
+            GUARDS.join(" | ")
         );
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
@@ -76,8 +54,11 @@ fn main() {
     } else {
         args.iter().map(String::as_str).collect()
     };
+    // Every knob and every selected experiment's configs are checked
+    // before the first run.
     let result = rounds().and_then(|r| {
         let d = duration()?;
+        selected.iter().try_for_each(|name| check(name, d))?;
         selected.iter().try_for_each(|name| run(name, r, d))
     });
     if let Err(e) = result {

@@ -11,7 +11,7 @@
 use crate::experiments::{base_config, with_attack};
 use crate::table::render;
 use nwade::attack::AttackSetting;
-use nwade_sim::run_rounds;
+use nwade_sim::{run_rounds, SimConfig};
 use nwade_vanet::FaultModel;
 
 /// Fault intensities swept (0 = clean channel control).
@@ -38,13 +38,23 @@ pub struct Point {
     pub throughput: f64,
 }
 
-/// Runs the sweep.
-pub fn points(rounds: u64, duration: f64) -> Vec<Point> {
+/// The config [`points`] runs at each fault intensity.
+pub fn configs(duration: f64) -> Vec<(f64, SimConfig)> {
     INTENSITIES
         .iter()
         .map(|&intensity| {
             let mut config = with_attack(base_config(duration), AttackSetting::V1);
             config.medium.faults = FaultModel::at_intensity(intensity);
+            (intensity, config)
+        })
+        .collect()
+}
+
+/// Runs the sweep.
+pub fn points(rounds: u64, duration: f64) -> Vec<Point> {
+    configs(duration)
+        .into_iter()
+        .map(|(intensity, config)| {
             let summary = run_rounds(&config, rounds);
             let n = summary.rounds.len().max(1) as f64;
             Point {

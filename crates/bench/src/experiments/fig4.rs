@@ -4,7 +4,7 @@
 use crate::experiments::{base_config, with_attack};
 use crate::table::render;
 use nwade::attack::AttackSetting;
-use nwade_sim::run_rounds;
+use nwade_sim::{run_rounds, SimConfig};
 
 /// Densities the paper sweeps (vehicles per minute).
 pub const DENSITIES: [f64; 6] = [20.0, 40.0, 60.0, 80.0, 100.0, 120.0];
@@ -27,18 +27,33 @@ pub fn settings() -> Vec<AttackSetting> {
         .collect()
 }
 
-/// Runs the sweep.
-pub fn series(rounds: u64, duration: f64) -> Vec<Series> {
+/// The configs [`series`] runs: per setting, one per density in
+/// [`DENSITIES`] order.
+pub fn configs(duration: f64) -> Vec<(AttackSetting, Vec<SimConfig>)> {
     settings()
         .into_iter()
         .map(|s| {
-            let rates = DENSITIES
+            let configs = DENSITIES
                 .iter()
                 .map(|&density| {
                     let mut config = with_attack(base_config(duration), s);
                     config.density = density;
-                    run_rounds(&config, rounds).detection_rate()
+                    config
                 })
+                .collect();
+            (s, configs)
+        })
+        .collect()
+}
+
+/// Runs the sweep.
+pub fn series(rounds: u64, duration: f64) -> Vec<Series> {
+    configs(duration)
+        .into_iter()
+        .map(|(s, configs)| {
+            let rates = configs
+                .iter()
+                .map(|config| run_rounds(config, rounds).detection_rate())
                 .collect();
             Series {
                 setting: s.label().to_string(),

@@ -5,7 +5,7 @@
 use crate::experiments::{base_config, with_attack};
 use crate::table::render;
 use nwade::attack::AttackSetting;
-use nwade_sim::run_rounds;
+use nwade_sim::{run_rounds, SimConfig};
 
 /// Densities swept.
 pub const DENSITIES: [f64; 4] = [20.0, 60.0, 80.0, 120.0];
@@ -21,14 +21,24 @@ pub struct Point {
     pub wrong_plan_detect_s: Option<f64>,
 }
 
-/// Runs the sweep: V2 provides both a real deviation (series a) and a
-/// false conflicting-plans broadcast (series b) in every round.
-pub fn points(rounds: u64, duration: f64) -> Vec<Point> {
+/// The config [`points`] runs at each density.
+pub fn configs(duration: f64) -> Vec<(f64, SimConfig)> {
     DENSITIES
         .iter()
         .map(|&density| {
             let mut config = with_attack(base_config(duration), AttackSetting::V2);
             config.density = density;
+            (density, config)
+        })
+        .collect()
+}
+
+/// Runs the sweep: V2 provides both a real deviation (series a) and a
+/// false conflicting-plans broadcast (series b) in every round.
+pub fn points(rounds: u64, duration: f64) -> Vec<Point> {
+    configs(duration)
+        .into_iter()
+        .map(|(density, config)| {
             let summary = run_rounds(&config, rounds);
             let mean = |f: &dyn Fn(&nwade_sim::SimReport) -> Option<f64>| -> Option<f64> {
                 let vals: Vec<f64> = summary.rounds.iter().filter_map(f).collect();

@@ -4,7 +4,7 @@
 use crate::experiments::{base_config, with_attack};
 use crate::table::render;
 use nwade::attack::AttackSetting;
-use nwade_sim::Simulation;
+use nwade_sim::{SimConfig, Simulation};
 use nwade_vanet::NetworkStats;
 
 /// The three scenarios on the figure's axis.
@@ -45,8 +45,11 @@ pub struct Point {
     pub stats: NetworkStats,
 }
 
-/// Runs the three scenarios.
-pub fn points(duration: f64, seed: u64) -> Vec<Point> {
+/// The seed `expgen` runs the figure with.
+pub const SEED: u64 = 7;
+
+/// The config [`points`] runs for each scenario.
+pub fn configs(duration: f64, seed: u64) -> Vec<(Scenario, SimConfig)> {
     Scenario::ALL
         .iter()
         .map(|&scenario| {
@@ -61,6 +64,16 @@ pub fn points(duration: f64, seed: u64) -> Vec<Point> {
                     config = with_attack(config, AttackSetting::Im);
                 }
             }
+            (scenario, config)
+        })
+        .collect()
+}
+
+/// Runs the three scenarios.
+pub fn points(duration: f64, seed: u64) -> Vec<Point> {
+    configs(duration, seed)
+        .into_iter()
+        .map(|(scenario, config)| {
             let report = Simulation::new(config).run();
             Point {
                 scenario,

@@ -4,7 +4,7 @@
 use crate::experiments::base_config;
 use crate::table::render;
 use nwade_intersection::IntersectionKind;
-use nwade_sim::run_rounds;
+use nwade_sim::{run_rounds, SimConfig};
 
 /// Densities swept.
 pub const DENSITIES: [f64; 3] = [20.0, 80.0, 120.0];
@@ -34,6 +34,25 @@ impl Point {
 
 /// Runs the grid.
 pub fn points(rounds: u64, duration: f64) -> Vec<Point> {
+    configs(duration)
+        .into_iter()
+        .map(|(kind, density, mut config)| {
+            let with_nwade = run_rounds(&config, rounds).mean_throughput();
+            config.nwade_enabled = false;
+            let without_nwade = run_rounds(&config, rounds).mean_throughput();
+            Point {
+                kind,
+                density,
+                with_nwade,
+                without_nwade,
+            }
+        })
+        .collect()
+}
+
+/// The config [`points`] runs, with NWADE and then without it, for each
+/// intersection kind and density.
+pub fn configs(duration: f64) -> Vec<(IntersectionKind, f64, SimConfig)> {
     let mut out = Vec::new();
     for kind in IntersectionKind::ALL {
         for density in DENSITIES {
@@ -41,15 +60,7 @@ pub fn points(rounds: u64, duration: f64) -> Vec<Point> {
             config.kind = kind;
             config.density = density;
             config.nwade_enabled = true;
-            let with_nwade = run_rounds(&config, rounds).mean_throughput();
-            config.nwade_enabled = false;
-            let without_nwade = run_rounds(&config, rounds).mean_throughput();
-            out.push(Point {
-                kind,
-                density,
-                with_nwade,
-                without_nwade,
-            });
+            out.push((kind, density, config));
         }
     }
     out

@@ -26,12 +26,19 @@ pub fn base_config(duration: f64) -> SimConfig {
     config
 }
 
+/// When a staged attack starts in a run of `duration` seconds: 40% in,
+/// but never before 30 s, so the fleet has formed. Rounds of 30 s or less
+/// therefore cannot stage one.
+pub fn attack_start(duration: f64) -> f64 {
+    (duration * 0.4).max(30.0)
+}
+
 /// Attaches a Table I attack to a config, starting mid-run.
 pub fn with_attack(mut config: SimConfig, setting: AttackSetting) -> SimConfig {
     config.attack = Some(AttackPlan {
         setting,
         violation: ViolationKind::SuddenStop,
-        start: (config.duration * 0.4).max(30.0),
+        start: attack_start(config.duration),
     });
     config
 }

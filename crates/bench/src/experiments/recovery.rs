@@ -179,21 +179,39 @@ fn measure(rounds: u64, duration: f64, point: CrashPoint, mode: Mode) -> Point {
     }
 }
 
-/// Runs the full crash-point × mode sweep: every labelled mid-window
-/// point warm vs cold, then outright process loss standby vs cold.
-pub fn sweep(rounds: u64, duration: f64) -> Vec<Point> {
-    let mut points = Vec::new();
+/// The sweep's cells: every labelled mid-window point warm vs cold,
+/// then outright process loss standby vs cold.
+fn cells() -> Vec<(CrashPoint, Mode)> {
+    let mut cells = Vec::new();
     for &point in &CRASH_POINTS {
         for &mode in &[Mode::Warm, Mode::Cold] {
-            points.push(measure(rounds, duration, point, mode));
+            cells.push((point, mode));
         }
     }
     // The availability half: the process dies outright — no in-place
     // restart exists, so the contest is hot standby vs cold rebuild.
     for &mode in &[Mode::Standby, Mode::Cold] {
-        points.push(measure(rounds, duration, CrashPoint::ProcessLoss, mode));
+        cells.push((CrashPoint::ProcessLoss, mode));
     }
-    points
+    cells
+}
+
+/// The configs of every crash point and mode the sweep and the guard
+/// can run.
+pub fn configs(duration: f64) -> Vec<SimConfig> {
+    cells()
+        .into_iter()
+        .map(|(point, mode)| crash_config(duration, point, mode))
+        .collect()
+}
+
+/// Runs the full crash-point × mode sweep: every labelled mid-window
+/// point warm vs cold, then outright process loss standby vs cold.
+pub fn sweep(rounds: u64, duration: f64) -> Vec<Point> {
+    cells()
+        .into_iter()
+        .map(|(point, mode)| measure(rounds, duration, point, mode))
+        .collect()
 }
 
 /// Serialises the sweep: a header object, then one result per line.

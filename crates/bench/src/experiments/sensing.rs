@@ -6,7 +6,7 @@ use crate::experiments::{base_config, with_attack};
 use crate::table::render;
 use nwade::attack::AttackSetting;
 use nwade_geometry::feet_to_meters;
-use nwade_sim::run_rounds;
+use nwade_sim::{run_rounds, SimConfig};
 
 /// Sensing radii swept, in feet (as quoted by the paper).
 pub const RADII_FT: [f64; 4] = [300.0, 500.0, 750.0, 1000.0];
@@ -22,13 +22,23 @@ pub struct Point {
     pub latency_s: Option<f64>,
 }
 
-/// Runs the sweep.
-pub fn points(rounds: u64, duration: f64) -> Vec<Point> {
+/// The config [`points`] runs at each sensing radius.
+pub fn configs(duration: f64) -> Vec<(f64, SimConfig)> {
     RADII_FT
         .iter()
         .map(|&radius_ft| {
             let mut config = with_attack(base_config(duration), AttackSetting::V1);
             config.nwade.sensing_radius = feet_to_meters(radius_ft);
+            (radius_ft, config)
+        })
+        .collect()
+}
+
+/// Runs the sweep.
+pub fn points(rounds: u64, duration: f64) -> Vec<Point> {
+    configs(duration)
+        .into_iter()
+        .map(|(radius_ft, config)| {
             let summary = run_rounds(&config, rounds);
             Point {
                 radius_ft,

@@ -3,7 +3,7 @@
 use crate::experiments::{base_config, with_attack};
 use crate::table::render;
 use nwade::attack::AttackSetting;
-use nwade_sim::run_rounds;
+use nwade_sim::{run_rounds, SimConfig};
 
 /// One row of Table II.
 #[derive(Debug, Clone)]
@@ -23,11 +23,9 @@ pub struct Row {
 
 /// Runs the Table II measurement.
 pub fn rows(rounds: u64, duration: f64) -> Vec<Row> {
-    AttackSetting::ALL
-        .iter()
-        .filter(|s| s.false_reports() > 0 || s.im_malicious())
-        .map(|s| {
-            let config = with_attack(base_config(duration), *s);
+    configs(duration)
+        .into_iter()
+        .map(|(s, config)| {
             let summary = run_rounds(&config, rounds);
             let has_type_a = s.false_reports() > 0;
             let has_type_b = has_type_a && !s.im_malicious();
@@ -50,6 +48,17 @@ pub fn rows(rounds: u64, duration: f64) -> Vec<Row> {
 
 fn pct(v: f64) -> String {
     format!("{:.0}%", v * 100.0)
+}
+
+/// The config [`rows`] runs for each setting with a false report or a
+/// malicious manager staged.
+pub fn configs(duration: f64) -> Vec<(AttackSetting, SimConfig)> {
+    AttackSetting::ALL
+        .iter()
+        .copied()
+        .filter(|s| s.false_reports() > 0 || s.im_malicious())
+        .map(|s| (s, with_attack(base_config(duration), s)))
+        .collect()
 }
 
 /// Renders Table II.

@@ -2,10 +2,10 @@
 //! pressing the brake" and the Fig. 1a lane change; detection must hold
 //! for every modeled misbehaviour.
 
-use crate::experiments::base_config;
+use crate::experiments::{attack_start, base_config};
 use crate::table::render;
 use nwade::attack::{AttackSetting, ViolationKind};
-use nwade_sim::{run_rounds, AttackPlan};
+use nwade_sim::{run_rounds, AttackPlan, SimConfig};
 
 /// One violation kind's results.
 #[derive(Debug, Clone)]
@@ -20,6 +20,21 @@ pub struct Row {
 
 /// Runs the sweep (V1, default density).
 pub fn rows(rounds: u64, duration: f64) -> Vec<Row> {
+    configs(duration)
+        .into_iter()
+        .map(|(kind, config)| {
+            let summary = run_rounds(&config, rounds);
+            Row {
+                kind,
+                detection_rate: summary.detection_rate(),
+                latency_s: summary.mean_detection_latency(),
+            }
+        })
+        .collect()
+}
+
+/// The config [`rows`] runs for each violation kind.
+pub fn configs(duration: f64) -> Vec<(ViolationKind, SimConfig)> {
     ViolationKind::ALL
         .iter()
         .map(|&kind| {
@@ -27,14 +42,9 @@ pub fn rows(rounds: u64, duration: f64) -> Vec<Row> {
             config.attack = Some(AttackPlan {
                 setting: AttackSetting::V1,
                 violation: kind,
-                start: (duration * 0.4).max(30.0),
+                start: attack_start(duration),
             });
-            let summary = run_rounds(&config, rounds);
-            Row {
-                kind,
-                detection_rate: summary.detection_rate(),
-                latency_s: summary.mean_detection_latency(),
-            }
+            (kind, config)
         })
         .collect()
 }

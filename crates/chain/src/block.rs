@@ -1,10 +1,14 @@
 //! The block structure `B_i = ⟨s_i, h_{i−1}, τ_i, R_i⟩`.
 
 use bytes::{Buf, BufMut, BytesMut};
-use nwade_aim::TravelPlan;
+use nwade_aim::{occupancy_of, Occupancy, TravelPlan};
 use nwade_crypto::merkle::leaf_hash;
 use nwade_crypto::{sha256, Digest, MerkleTree};
+use nwade_intersection::Topology;
 use nwade_traffic::VehicleId;
+use std::borrow::Cow;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A neighbour intersection's chain tip, embedded into a block for
 /// cross-shard anchoring: once block `B_i` of shard A carries shard B's
@@ -25,15 +29,48 @@ pub struct ShardAnchor {
 /// inclusion proofs) to neighbours. Multi-intersection deployments add
 /// an `anchors` section — neighbour chain tips covered by the signature
 /// and the block hash; single-intersection blocks carry none.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The signature and plans sit in a shared body, so the copies a
+/// broadcast makes (one per receiver, one per cache) cost a reference
+/// count, and the body memoises the plans' zone occupancies
+/// ([`Block::occupancies`]) for every copy at once.
+#[derive(Clone, PartialEq)]
 pub struct Block {
     index: u64,
-    signature: Vec<u8>,
     prev_hash: Digest,
     timestamp: f64,
     merkle_root: Digest,
-    plans: Vec<TravelPlan>,
     anchors: Vec<ShardAnchor>,
+    body: Arc<Body>,
+}
+
+/// The shared part of a [`Block`].
+struct Body {
+    signature: Vec<u8>,
+    plans: Vec<TravelPlan>,
+    /// Each plan's zone occupancy, with the [`Topology::instance`] it was
+    /// computed on. Derived data: left out of equality and encoding.
+    occupancies: OnceLock<(u64, Vec<Occupancy>)>,
+}
+
+impl PartialEq for Body {
+    fn eq(&self, other: &Self) -> bool {
+        self.signature == other.signature && self.plans == other.plans
+    }
+}
+
+impl fmt::Debug for Block {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Block")
+            .field("index", &self.index)
+            .field("signature", &self.body.signature)
+            .field("prev_hash", &self.prev_hash)
+            .field("timestamp", &self.timestamp)
+            .field("merkle_root", &self.merkle_root)
+            .field("plans", &self.body.plans)
+            .field("anchors", &self.anchors)
+            .finish()
+    }
 }
 
 impl Block {
@@ -72,12 +109,15 @@ impl Block {
     ) -> Self {
         Block {
             index,
-            signature,
             prev_hash,
             timestamp,
             merkle_root,
-            plans,
             anchors,
+            body: Arc::new(Body {
+                signature,
+                plans,
+                occupancies: OnceLock::new(),
+            }),
         }
     }
 
@@ -88,7 +128,7 @@ impl Block {
 
     /// The manager's signature `s_i`.
     pub fn signature(&self) -> &[u8] {
-        &self.signature
+        &self.body.signature
     }
 
     /// Hash of the previous block `h_{i−1}` ([`Digest::ZERO`] for the
@@ -109,12 +149,46 @@ impl Block {
 
     /// The travel plans packaged in this window.
     pub fn plans(&self) -> &[TravelPlan] {
-        &self.plans
+        &self.body.plans
     }
 
     /// The plan for `vehicle`, if present in this block.
     pub fn plan_for(&self, vehicle: VehicleId) -> Option<&TravelPlan> {
-        self.plans.iter().find(|p| p.id() == vehicle)
+        self.plans().iter().find(|p| p.id() == vehicle)
+    }
+
+    /// The zone occupancy of each carried plan on `topology`, in plan
+    /// order — what the conflict checks of Algorithm 1 book and probe.
+    ///
+    /// The first topology asked about has its occupancies memoised on
+    /// the shared body, so every copy of a broadcast block computes them
+    /// once; a different topology gets a fresh, unmemoised computation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a plan names a movement `topology` does not have.
+    pub fn occupancies(&self, topology: &Topology) -> Cow<'_, [Occupancy]> {
+        let compute = || -> Vec<Occupancy> {
+            self.plans()
+                .iter()
+                .map(|p| occupancy_of(topology.movement(p.movement()), p.profile()))
+                .collect()
+        };
+        let (instance, memo) = self
+            .body
+            .occupancies
+            .get_or_init(|| (topology.instance(), compute()));
+        if *instance == topology.instance() {
+            Cow::Borrowed(memo)
+        } else {
+            Cow::Owned(compute())
+        }
+    }
+
+    /// `true` when both blocks share one body (one is a copy of the
+    /// other), hence the same signature and plans.
+    pub(crate) fn shares_body(&self, other: &Block) -> bool {
+        Arc::ptr_eq(&self.body, &other.body)
     }
 
     /// Neighbour chain tips anchored into this block (empty for
@@ -171,8 +245,9 @@ impl Block {
     /// The block hash `hash(B_i)` that the next block's `h_i` must match:
     /// `SHA-256(s_i ‖ index ‖ h_{i−1} ‖ τ_i ‖ R_i ‖ anchors)`.
     pub fn hash(&self) -> Digest {
-        let mut buf = BytesMut::with_capacity(self.signature.len() + 82 + self.anchors.len() * 36);
-        buf.put_slice(&self.signature);
+        let mut buf =
+            BytesMut::with_capacity(self.signature().len() + 82 + self.anchors.len() * 36);
+        buf.put_slice(self.signature());
         buf.put_u64(self.index);
         buf.put_slice(self.prev_hash.as_bytes());
         buf.put_f64(self.timestamp);
@@ -183,7 +258,7 @@ impl Block {
 
     /// Recomputes the Merkle root from the carried plans.
     pub fn computed_root(&self) -> Digest {
-        Block::root_of(&self.plans)
+        Block::root_of(self.plans())
     }
 
     /// The Merkle root of a plan batch (Fig. 3 leaf ordering).
@@ -198,7 +273,12 @@ impl Block {
     /// Builds the Merkle tree over the carried plans, for proof
     /// extraction.
     pub fn merkle_tree(&self) -> MerkleTree {
-        MerkleTree::from_leaf_hashes(self.plans.iter().map(|p| leaf_hash(&p.encode())).collect())
+        MerkleTree::from_leaf_hashes(
+            self.plans()
+                .iter()
+                .map(|p| leaf_hash(&p.encode()))
+                .collect(),
+        )
     }
 
     /// Canonical byte encoding of the whole block (header + carried
@@ -208,15 +288,16 @@ impl Block {
     /// [u16 plan count][plan…][u16 anchor count][(u32 shard)(32B tip)…]`
     /// with each plan in its [`TravelPlan::encode`] layout.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(128 + self.plans.len() * 160);
+        let (signature, plans) = (self.signature(), self.plans());
+        let mut buf = BytesMut::with_capacity(128 + plans.len() * 160);
         buf.put_u64(self.index);
-        buf.put_u16(self.signature.len() as u16);
-        buf.put_slice(&self.signature);
+        buf.put_u16(signature.len() as u16);
+        buf.put_slice(signature);
         buf.put_slice(self.prev_hash.as_bytes());
         buf.put_f64(self.timestamp);
         buf.put_slice(self.merkle_root.as_bytes());
-        buf.put_u16(self.plans.len() as u16);
-        for plan in &self.plans {
+        buf.put_u16(plans.len() as u16);
+        for plan in plans {
             buf.put_slice(&plan.encode());
         }
         Block::put_anchors(&mut buf, &self.anchors);
@@ -257,15 +338,15 @@ impl Block {
                 tip: Digest(tip),
             });
         }
-        Some(Block {
+        Some(Block::from_parts_anchored(
             index,
             signature,
-            prev_hash: Digest(prev),
+            Digest(prev),
             timestamp,
-            merkle_root: Digest(root),
+            Digest(root),
             plans,
             anchors,
-        })
+        ))
     }
 
     /// Decodes an encoding produced by [`Block::encode`], rejecting
@@ -316,6 +397,17 @@ pub(crate) mod tests {
         Block::from_parts(3, vec![1, 2, 3], Digest::ZERO, 12.5, root, ps)
     }
 
+    fn with_signature(b: &Block, signature: Vec<u8>) -> Block {
+        Block::from_parts(
+            b.index(),
+            signature,
+            b.prev_hash(),
+            b.timestamp(),
+            b.merkle_root(),
+            b.plans().to_vec(),
+        )
+    }
+
     #[test]
     fn accessors() {
         let b = block();
@@ -345,8 +437,7 @@ pub(crate) mod tests {
         let mut c = b.clone();
         c.timestamp = 12.6;
         assert_ne!(c.hash(), base);
-        let mut c = b.clone();
-        c.signature = vec![9];
+        let c = with_signature(&b, vec![9]);
         assert_ne!(c.hash(), base);
         let mut c = b.clone();
         c.prev_hash = sha256(b"x");
@@ -356,8 +447,7 @@ pub(crate) mod tests {
     #[test]
     fn signing_digest_excludes_signature() {
         let b = block();
-        let mut c = b.clone();
-        c.signature = vec![9, 9, 9];
+        let c = with_signature(&b, vec![9, 9, 9]);
         assert_eq!(b.own_signing_digest(), c.own_signing_digest());
         assert_ne!(b.hash(), c.hash());
     }
@@ -397,6 +487,41 @@ pub(crate) mod tests {
         assert_eq!(d.hash(), b.hash());
         assert_eq!(d.computed_root(), b.merkle_root());
         assert_eq!(d.own_signing_digest(), b.own_signing_digest());
+    }
+
+    #[test]
+    fn occupancy_memo_is_keyed_by_topology() {
+        let b = block();
+        let fine = build(IntersectionKind::FourWayCross, &GeometryConfig::default());
+        let coarse_cell = GeometryConfig {
+            zone_cell: GeometryConfig::default().zone_cell * 0.75,
+            ..GeometryConfig::default()
+        };
+        let coarse = build(IntersectionKind::FourWayCross, &coarse_cell);
+        let expected = |topo: &Topology| -> Vec<Occupancy> {
+            b.plans()
+                .iter()
+                .map(|p| occupancy_of(topo.movement(p.movement()), p.profile()))
+                .collect()
+        };
+        assert_ne!(expected(&fine), expected(&coarse), "grids differ");
+
+        // The first topology asked about is memoised on the shared body:
+        // a copy of the block, and a clone of the topology, hit it.
+        let copy = b.clone();
+        assert_eq!(*b.occupancies(&fine), expected(&fine)[..]);
+        assert!(matches!(copy.occupancies(&fine), Cow::Borrowed(_)));
+        assert!(matches!(copy.occupancies(&fine.clone()), Cow::Borrowed(_)));
+        // Another topology gets its own occupancies, never the memo's.
+        let other = copy.occupancies(&coarse);
+        assert!(matches!(other, Cow::Owned(_)));
+        assert_eq!(*other, expected(&coarse)[..]);
+        assert_eq!(*b.occupancies(&fine), expected(&fine)[..]);
+
+        // The memo is invisible to equality and encoding.
+        let cold = Block::decode(&b.encode()).expect("decodes");
+        assert_eq!(cold, b);
+        assert_eq!(cold.encode(), b.encode());
     }
 
     fn anchors() -> Vec<ShardAnchor> {

@@ -8,9 +8,11 @@
 
 use crate::block::Block;
 use crate::verify::{verify_block, verify_link, BlockError};
-use nwade_aim::TravelPlan;
+use nwade_aim::{Occupancy, TravelPlan};
 use nwade_crypto::{Digest, SignatureScheme};
+use nwade_intersection::Topology;
 use nwade_traffic::VehicleId;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 /// Upper bound on remembered signature verdicts; cleared wholesale when
@@ -19,6 +21,12 @@ use std::collections::{HashMap, VecDeque};
 const VERIFIED_SIGNATURES_BOUND: usize = 256;
 
 /// A bounded, linkage-checked window of recent blocks.
+///
+/// Cached block indices are contiguous. Each vehicle's *current* plan —
+/// its first plan in the newest cached block that carries one — is
+/// indexed by vehicle, and a flag records whether the current plans are
+/// known to be pairwise conflict-free ([`ChainCache::conflict_free`]),
+/// which lets Algorithm 1 check a new block against them incrementally.
 #[derive(Debug, Clone, Default)]
 pub struct ChainCache {
     blocks: VecDeque<Block>,
@@ -26,6 +34,13 @@ pub struct ChainCache {
     /// Signing digests whose signatures this cache has already accepted,
     /// keyed by digest with the accepted signature bytes as value.
     verified: HashMap<Digest, Vec<u8>>,
+    /// Each vehicle's current plan: (block index, position in its plans).
+    current: HashMap<VehicleId, (u64, usize)>,
+    /// See [`ChainCache::conflict_free`].
+    conflict_free: bool,
+    /// The block last passed to [`ChainCache::vouch`], until the next
+    /// append consumes it or a back-fill voids it.
+    vouched: Option<Block>,
 }
 
 impl ChainCache {
@@ -40,6 +55,9 @@ impl ChainCache {
             blocks: VecDeque::with_capacity(capacity),
             capacity,
             verified: HashMap::new(),
+            current: HashMap::new(),
+            conflict_free: true,
+            vouched: None,
         }
     }
 
@@ -139,6 +157,11 @@ impl ChainCache {
     /// predecessor: a vehicle that just arrived starts its window
     /// mid-chain. Evicts the oldest block beyond capacity.
     ///
+    /// The current plans stay conflict-free only when `block` is the one
+    /// last [vouched](ChainCache::vouch) for and carries at most one plan
+    /// per vehicle (of two, only the first becomes current, and the
+    /// cross-block check saw the last).
+    ///
     /// # Errors
     ///
     /// Returns the linkage error; the cache is unchanged on error.
@@ -146,9 +169,30 @@ impl ChainCache {
         if let Some(tip) = self.blocks.back() {
             verify_link(tip, &block)?;
         }
+        let vouched = self.vouched.take().is_some_and(|v| v.shares_body(&block));
+        let mut repeats_a_vehicle = false;
+        for (position, plan) in block.plans().iter().enumerate() {
+            match self.current.entry(plan.id()) {
+                Entry::Occupied(entry) if entry.get().0 == block.index() => {
+                    repeats_a_vehicle = true;
+                }
+                Entry::Occupied(mut entry) => {
+                    entry.insert((block.index(), position));
+                }
+                Entry::Vacant(entry) => {
+                    entry.insert((block.index(), position));
+                }
+            }
+        }
+        self.conflict_free = vouched && !repeats_a_vehicle;
         self.blocks.push_back(block);
         if self.blocks.len() > self.capacity {
-            self.blocks.pop_front();
+            let evicted = self.blocks.pop_front().expect("over capacity");
+            for (position, plan) in evicted.plans().iter().enumerate() {
+                if self.current.get(&plan.id()) == Some(&(evicted.index(), position)) {
+                    self.current.remove(&plan.id());
+                }
+            }
         }
         Ok(())
     }
@@ -156,47 +200,107 @@ impl ChainCache {
     /// Prepends a predecessor block (history back-fill): it must be the
     /// immediate predecessor of the current earliest block, hash-linked
     /// to it. No-op when the cache is at capacity (old history is not
-    /// worth evicting fresh blocks for).
+    /// worth evicting fresh blocks for). A back-filled plan for a vehicle
+    /// with no newer one becomes current without any conflict check, so
+    /// it clears [`ChainCache::conflict_free`].
     ///
     /// # Errors
     ///
     /// Returns the linkage error; the cache is unchanged on error.
     pub fn prepend(&mut self, block: Block) -> Result<(), BlockError> {
-        let Some(earliest) = self.blocks.front() else {
-            self.blocks.push_front(block);
-            return Ok(());
-        };
-        verify_link(&block, earliest)?;
-        if self.blocks.len() < self.capacity {
-            self.blocks.push_front(block);
+        if let Some(earliest) = self.blocks.front() {
+            verify_link(&block, earliest)?;
+            if self.blocks.len() >= self.capacity {
+                return Ok(());
+            }
         }
+        for (position, plan) in block.plans().iter().enumerate() {
+            if let Entry::Vacant(entry) = self.current.entry(plan.id()) {
+                entry.insert((block.index(), position));
+                self.conflict_free = false;
+                self.vouched = None;
+            }
+        }
+        self.blocks.push_front(block);
         Ok(())
     }
 
     /// The block with the given index, if cached.
     pub fn block_at(&self, index: u64) -> Option<&Block> {
-        self.blocks.iter().find(|b| b.index() == index)
+        let offset = index.checked_sub(self.blocks.front()?.index())?;
+        let block = self.blocks.get(usize::try_from(offset).ok()?)?;
+        debug_assert_eq!(block.index(), index, "cached indices are contiguous");
+        Some(block)
     }
 
     /// The most recent plan for `vehicle` across cached blocks (a vehicle
     /// may be re-planned; later blocks win).
     pub fn plan_for(&self, vehicle: VehicleId) -> Option<&TravelPlan> {
-        self.blocks.iter().rev().find_map(|b| b.plan_for(vehicle))
+        let &(index, position) = self.current.get(&vehicle)?;
+        self.block_at(index).map(|block| &block.plans()[position])
     }
 
     /// All plans visible in the cache, most recent block first, first
     /// plan per vehicle only (i.e. each vehicle's current plan).
     pub fn current_plans(&self) -> Vec<&TravelPlan> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
+        self.blocks
+            .iter()
+            .rev()
+            .flat_map(|block| self.current_in(block).map(|(_, plan)| plan))
+            .collect()
+    }
+
+    /// Calls `visit` with each vehicle's current plan and its zone
+    /// occupancy on `topology`, memoised per block
+    /// ([`Block::occupancies`]), most recent block first.
+    pub fn visit_current(
+        &self,
+        topology: &Topology,
+        mut visit: impl FnMut(&TravelPlan, &Occupancy),
+    ) {
         for block in self.blocks.iter().rev() {
-            for plan in block.plans() {
-                if seen.insert(plan.id()) {
-                    out.push(plan);
-                }
+            let occupancies = block.occupancies(topology);
+            for (position, plan) in self.current_in(block) {
+                visit(plan, &occupancies[position]);
             }
         }
-        out
+    }
+
+    /// The current plans `block` carries, with their positions.
+    fn current_in<'a>(
+        &'a self,
+        block: &'a Block,
+    ) -> impl Iterator<Item = (usize, &'a TravelPlan)> + 'a {
+        block
+            .plans()
+            .iter()
+            .enumerate()
+            .filter(move |(position, plan)| {
+                self.current.get(&plan.id()) == Some(&(block.index(), *position))
+            })
+    }
+
+    /// `true` while the current plans, minus any vehicle the verifier
+    /// treats as a known threat, are known to be pairwise conflict-free,
+    /// so a new block needs checking only against them (Algorithm 1,
+    /// line 9), not them against each other.
+    ///
+    /// An empty cache is conflict-free. Appending a block passed to
+    /// [`ChainCache::vouch`] keeps or restores the flag (see
+    /// [`ChainCache::append`]); evictions keep it, because they only
+    /// remove current plans, and so does a verifier whose threat set only
+    /// grows. Appending any other block clears it, and so does a
+    /// back-fill that adds a current plan.
+    pub fn conflict_free(&self) -> bool {
+        self.conflict_free
+    }
+
+    /// Records that `block`'s plans conflict neither with each other nor
+    /// with this cache's current plans outside the verifier's known
+    /// threats (Algorithm 1, lines 4 and 9) — the checks under which
+    /// appending `block` next keeps the current plans conflict-free.
+    pub fn vouch(&mut self, block: &Block) {
+        self.vouched = Some(block.clone());
     }
 
     /// Clears the cache (vehicle has left the intersection), including
@@ -204,6 +308,9 @@ impl ChainCache {
     pub fn clear(&mut self) {
         self.blocks.clear();
         self.verified.clear();
+        self.current.clear();
+        self.conflict_free = true;
+        self.vouched = None;
     }
 }
 
@@ -213,6 +320,8 @@ mod tests {
     use crate::package::BlockPackager;
     use crate::tamper;
     use nwade_crypto::MockScheme;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -496,5 +605,161 @@ mod tests {
         cache.prepend(bs[1].clone()).expect("link ok");
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.iter().next().expect("earliest").index(), 2);
+    }
+
+    /// A linked chain whose block `i` carries one plan per entry of
+    /// `ids[i]`, in order (an id may repeat within a block).
+    fn chain_of(ids: &[Vec<u64>]) -> Vec<Block> {
+        let template = crate::block::tests::plans(1).remove(0);
+        let mut p = BlockPackager::new(Arc::new(MockScheme::from_seed(5)));
+        ids.iter()
+            .enumerate()
+            .map(|(i, block_ids)| {
+                let plans = block_ids
+                    .iter()
+                    .map(|&id| {
+                        TravelPlan::new(
+                            VehicleId::new(id),
+                            template.descriptor().clone(),
+                            *template.status(),
+                            template.movement(),
+                            template.profile().clone(),
+                        )
+                    })
+                    .collect();
+                p.package(plans, i as f64)
+            })
+            .collect()
+    }
+
+    /// The current plans by linear scan: newest block first, first plan
+    /// per vehicle (as [`Block::plan_for`] picks within a block).
+    fn linear_current(cache: &ChainCache) -> Vec<&TravelPlan> {
+        let mut seen = HashSet::new();
+        let blocks: Vec<&Block> = cache.iter().collect();
+        blocks
+            .into_iter()
+            .rev()
+            .flat_map(Block::plans)
+            .filter(|p| seen.insert(p.id()))
+            .collect()
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Append,
+        Prepend,
+        Restart(usize),
+        Clear,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..8, 0usize..16).prop_map(|(kind, at)| match kind {
+            0..=3 => Op::Append,
+            4 | 5 => Op::Prepend,
+            6 => Op::Restart(at),
+            _ => Op::Clear,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The id-indexed lookups equal the linear newest-block-first
+        /// scan under any interleaving of appends (with evictions at
+        /// capacity), back-fills, clears and mid-chain restarts.
+        #[test]
+        fn indexed_lookups_equal_the_linear_scan(
+            ids in proptest::collection::vec(proptest::collection::vec(0u64..6, 1..5), 4..12),
+            capacity in 2usize..=4,
+            ops in proptest::collection::vec(op(), 1..40),
+        ) {
+            let chain = chain_of(&ids);
+            let mut cache = ChainCache::new(capacity);
+            // The cached window, as chain positions [lo, hi).
+            let mut window: Option<(usize, usize)> = None;
+            for op in ops {
+                match (op, window) {
+                    (Op::Append, Some((lo, hi))) if hi < chain.len() => {
+                        cache.append(chain[hi].clone()).expect("successor links");
+                        window = Some((lo + usize::from(hi + 1 - lo > capacity), hi + 1));
+                    }
+                    (Op::Prepend, Some((lo, hi))) if lo > 0 => {
+                        cache.prepend(chain[lo - 1].clone()).expect("predecessor links");
+                        if hi - lo < capacity {
+                            window = Some((lo - 1, hi));
+                        }
+                    }
+                    (Op::Restart(at), _) => {
+                        let at = at % chain.len();
+                        cache.clear();
+                        cache.append(chain[at].clone()).expect("empty cache");
+                        window = Some((at, at + 1));
+                    }
+                    (Op::Clear, _) => {
+                        cache.clear();
+                        window = None;
+                    }
+                    _ => {}
+                }
+                let cached: Vec<u64> = cache.iter().map(Block::index).collect();
+                let (lo, hi) = window.unwrap_or((0, 0));
+                prop_assert_eq!(cached, (lo as u64..hi as u64).collect::<Vec<_>>());
+                let linear = linear_current(&cache);
+                let indexed = cache.current_plans();
+                prop_assert_eq!(indexed.len(), linear.len());
+                for (a, b) in indexed.iter().zip(&linear) {
+                    prop_assert!(std::ptr::eq(*a, *b), "current plans differ");
+                }
+                for id in 0..6 {
+                    let vehicle = VehicleId::new(id);
+                    let scan = cache.iter().collect::<Vec<_>>().into_iter().rev().find_map(|b| b.plan_for(vehicle));
+                    let found = cache.plan_for(vehicle);
+                    prop_assert_eq!(found.is_some(), scan.is_some());
+                    if let (Some(a), Some(b)) = (found, scan) {
+                        prop_assert!(std::ptr::eq(a, b), "plan_for differs for {}", id);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conflict_free_flag_follows_vouching_backfill_and_repeats() {
+        let bs = chain_of(&[vec![0, 1], vec![0, 1], vec![2], vec![3, 3], vec![4]]);
+        let mut cache = ChainCache::new(5);
+        assert!(cache.conflict_free(), "an empty cache");
+        cache.append(bs[1].clone()).expect("start");
+        assert!(!cache.conflict_free(), "an unvouched block");
+        cache.clear();
+        assert!(cache.conflict_free(), "cleared");
+
+        cache.vouch(&bs[1]);
+        cache.append(bs[1].clone()).expect("start");
+        assert!(cache.conflict_free(), "the vouched block");
+        cache.prepend(bs[0].clone()).expect("links");
+        assert!(
+            cache.conflict_free(),
+            "a back-fill of superseded plans only"
+        );
+        cache.vouch(&bs[2]);
+        cache.append(bs[2].clone()).expect("links");
+        assert!(cache.conflict_free());
+        cache.vouch(&bs[3]);
+        cache.append(bs[3].clone()).expect("links");
+        assert!(!cache.conflict_free(), "two plans for vehicle 3");
+        cache.vouch(&bs[4]);
+        cache.append(bs[4].clone()).expect("links");
+        assert!(cache.conflict_free(), "restored by the next vouched block");
+
+        cache.clear();
+        cache.vouch(&bs[2]);
+        cache.append(bs[2].clone()).expect("start");
+        cache.prepend(bs[1].clone()).expect("links");
+        assert!(!cache.conflict_free(), "back-filled plans for 0 and 1");
+        cache.clear();
+        cache.vouch(&bs[1]);
+        cache.append(bs[2].clone()).expect("start");
+        assert!(!cache.conflict_free(), "vouching is for one block only");
     }
 }

@@ -5,6 +5,14 @@ use crate::ids::{LegId, MovementId, TurnKind, ZoneId};
 use crate::movement::{Movement, ZoneInterval};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of [`Topology::instance`] identities.
+static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
+
+fn next_instance() -> u64 {
+    NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed)
+}
 
 /// One approach road of the intersection.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -58,6 +66,10 @@ pub struct Topology {
     /// Movements indexed by origin leg.
     #[serde(skip)]
     by_leg: HashMap<usize, Vec<MovementId>>,
+    /// Process-unique identity of this assembly; see
+    /// [`Topology::instance`].
+    #[serde(skip, default = "next_instance")]
+    instance: u64,
 }
 
 impl Topology {
@@ -90,7 +102,16 @@ impl Topology {
             movements,
             zone_cell: config.zone_cell,
             by_leg,
+            instance: next_instance(),
         }
+    }
+
+    /// Process-unique identity of this topology, shared by its clones (a
+    /// topology never changes once assembled). Memos of per-topology
+    /// results, such as a block's plan occupancies, key on it: two live
+    /// topologies never share an instance, even at the same address.
+    pub fn instance(&self) -> u64 {
+        self.instance
     }
 
     /// Human-readable topology name.
