@@ -8,9 +8,12 @@
 //! of the run was bit-identical. Where a differential test compares two
 //! execution strategies inside one build, these pins compare one build
 //! against the last: a refactor that keeps behaviour leaves every digest
-//! unchanged. The three scenarios of the retired tick-engine and
-//! entry-search differentials are pinned under those suites' own names,
-//! in `integration_perf_engines` and `integration_scheduler_diff`.
+//! unchanged. The IM-lifecycle pins (crashes, standby promotions, a
+//! zombie primary, an outage restart) also fold the final recovery
+//! counters, which `state_hash` does not cover. The three scenarios of
+//! the retired tick-engine and entry-search differentials are pinned
+//! under those suites' own names, in `integration_perf_engines` and
+//! `integration_scheduler_diff`.
 //!
 //! The constants are x86_64-linux values: the simulator calls libm
 //! `sin`/`cos`/`atan2`/`ln`, whose last-bit results may differ on other
@@ -22,7 +25,10 @@ mod common;
 use common::{assert_pinned, attack, config, sim_digest, ticks, StreamDigest};
 use nwade_repro::aim::AdmissionPolicy;
 use nwade_repro::nwade::attack::{AttackSetting, ViolationKind};
-use nwade_repro::sim::{CityConfig, CityGrid, ImOutage, SchedulerChoice, SimConfig, Simulation};
+use nwade_repro::nwade::CrashPoint;
+use nwade_repro::sim::{
+    CityConfig, CityGrid, CrashPlan, ImOutage, SchedulerChoice, SimConfig, Simulation,
+};
 
 /// Digest of a `shards`-shard ring city run for `base.duration`.
 fn city_digest(shards: usize, base: SimConfig) -> u64 {
@@ -126,4 +132,162 @@ fn saturated_fleet_is_pinned() {
         digest.push(sim.state_hash());
     }
     assert_pinned("saturated", digest.0, 0x86d2_84c5_0927_1653);
+}
+
+// ----- IM lifecycle: crashes, promotions, zombies, outages --------------
+
+/// Digest of an IM-lifecycle run: the per-tick `state_hash` stream, then
+/// the final recovery counters `state_hash` does not cover, all from one
+/// `run_with` pass.
+fn lifecycle_digest(config: SimConfig) -> u64 {
+    config.validate().expect("scenario config valid");
+    let mut digest = StreamDigest::new();
+    let report = Simulation::new(config).run_with(|sim| digest.push(sim.state_hash()));
+    let m = &report.metrics;
+    for count in [
+        m.im_crashes,
+        m.warm_recoveries,
+        m.cold_recoveries,
+        m.standby_promotions,
+        m.imu_outage_drops,
+        m.im_timeout_evacuations,
+    ] {
+        digest.push(count as u64);
+    }
+    for count in [
+        m.standby_windows_applied,
+        m.standby_max_lag_records,
+        m.wal_truncated_bytes,
+        m.fencing_rejections,
+    ] {
+        digest.push(count);
+    }
+    for latency in [m.standby_promotion_latency, m.im_recovery_latency] {
+        digest.push(latency.map_or(u64::MAX, f64::to_bits));
+    }
+    digest.0
+}
+
+/// About 100 simulated seconds of dense traffic. The sudden-stop attack
+/// starts after the crash at 50 s: the recovered manager logs its
+/// evacuation block, and on the cold path the attack's reporters time out
+/// in the dark.
+fn lifecycle_base() -> SimConfig {
+    let mut c = config(100.0, 80.0, 41);
+    c.attack = attack(AttackSetting::V1, ViolationKind::SuddenStop, 60.0);
+    c
+}
+
+fn crash_at(point: CrashPoint) -> SimConfig {
+    let mut c = lifecycle_base();
+    c.im_crash = Some(CrashPlan {
+        at: 50.0,
+        point,
+        cold_downtime: 15.0,
+    });
+    c
+}
+
+fn process_loss_with_standby() -> SimConfig {
+    let mut c = crash_at(CrashPoint::ProcessLoss);
+    c.standby.enabled = true;
+    c.standby.heartbeat_interval = 0.02;
+    c.standby.miss_bound = 3;
+    c
+}
+
+/// `AfterStage` and `AfterCommit` re-create the same block on warm
+/// recovery, so their digests agree.
+#[test]
+fn crash_after_stage_is_pinned() {
+    assert_pinned(
+        "crash-after-stage",
+        lifecycle_digest(crash_at(CrashPoint::AfterStage)),
+        0xa3d9_9099_1b1a_236c,
+    );
+}
+
+#[test]
+fn crash_before_commit_is_pinned() {
+    assert_pinned(
+        "crash-before-commit",
+        lifecycle_digest(crash_at(CrashPoint::BeforeCommit)),
+        0x3e95_2e24_0847_567a,
+    );
+}
+
+#[test]
+fn crash_after_commit_is_pinned() {
+    assert_pinned(
+        "crash-after-commit",
+        lifecycle_digest(crash_at(CrashPoint::AfterCommit)),
+        0xa3d9_9099_1b1a_236c,
+    );
+}
+
+/// With the store off the crash takes the cold path, the same path as
+/// a process loss with no standby: their digests agree.
+#[test]
+fn cold_crash_is_pinned() {
+    let mut c = crash_at(CrashPoint::BeforeCommit);
+    c.store.enabled = false;
+    assert_pinned("crash-cold", lifecycle_digest(c), 0x4fe8_34e5_c087_d466);
+}
+
+#[test]
+fn process_loss_without_standby_is_pinned() {
+    assert_pinned(
+        "process-loss",
+        lifecycle_digest(crash_at(CrashPoint::ProcessLoss)),
+        0x4fe8_34e5_c087_d466,
+    );
+}
+
+#[test]
+fn standby_promotion_is_pinned() {
+    assert_pinned(
+        "standby-promotion",
+        lifecycle_digest(process_loss_with_standby()),
+        0x594f_7504_32a9_7322,
+    );
+}
+
+/// The crashed primary wakes after the promotion and broadcasts one
+/// stale-epoch block.
+#[test]
+fn zombie_primary_is_pinned() {
+    let mut c = process_loss_with_standby();
+    c.standby.zombie_delay = Some(0.5);
+    assert_pinned("zombie", lifecycle_digest(c), 0xbc3b_be64_e6f5_2db1);
+}
+
+/// The attack starts before the crash. Confirming the violator changes
+/// the manager's durable state without a WAL record, so the standby's
+/// replay disagrees with the next snapshot, the promotion is refused and
+/// the crash resolves on the cold path.
+#[test]
+fn diverged_standby_is_pinned() {
+    let mut c = process_loss_with_standby();
+    c.attack = attack(AttackSetting::V1, ViolationKind::SuddenStop, 40.0);
+    assert_pinned(
+        "diverged-standby",
+        lifecycle_digest(c),
+        0xd0c7_03ae_5f15_5f22,
+    );
+}
+
+/// A scheduled outage whose end restarts the manager warm from the
+/// store.
+#[test]
+fn outage_warm_restart_is_pinned() {
+    let mut c = lifecycle_base();
+    c.im_outage = Some(ImOutage {
+        start: 50.0,
+        duration: 6.0,
+    });
+    assert_pinned(
+        "outage-warm-restart",
+        lifecycle_digest(c),
+        0x22d0_b3df_2229_de7b,
+    );
 }
