@@ -378,10 +378,109 @@ pub struct ImPersistence {
     windows_since_snapshot: u32,
 }
 
-enum Staged {
-    None,
-    /// A stage record was replayed; `Some` when it produced a block.
-    Executed(Option<Block>),
+/// Re-executes WAL records through a manager's own deterministic
+/// handlers: the one replay loop behind both warm recovery
+/// ([`ImPersistence::attach`] feeds it the suffix after the latest
+/// snapshot) and the hot standby (`StandbyManager` feeds it every poll).
+///
+/// At most one scheduled-but-uncommitted block is in flight at a time;
+/// any record that contradicts that, a re-created block that misses its
+/// `Commit` hash, or a snapshot that disagrees with the replayed state
+/// is a divergence.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Replay {
+    /// The block the latest stage record re-created, until its `Commit`.
+    staged: Option<Block>,
+    /// Committed blocks with no `Broadcasted` record yet.
+    unbroadcast: Vec<Block>,
+}
+
+impl Replay {
+    /// Applies one record to `manager`.
+    ///
+    /// # Errors
+    ///
+    /// Returns why the record diverges from the replayed state; the
+    /// caller must stop trusting `manager`.
+    pub(crate) fn apply(
+        &mut self,
+        manager: &mut NwadeManager,
+        record: WalRecord,
+    ) -> Result<(), String> {
+        match record {
+            WalRecord::Snapshot(state) => {
+                // The primary's periodic state dump: replaying the same
+                // records must have reached the same state.
+                if manager.durable_state() != state {
+                    return Err("snapshot disagrees with replayed state".into());
+                }
+            }
+            WalRecord::WindowStart { now, requests } => {
+                self.nothing_staged("uncommitted window produced a block")?;
+                self.staged = block_of(manager.on_window(&requests, now));
+            }
+            WalRecord::EvacStart {
+                now,
+                states,
+                threats,
+            } => {
+                self.nothing_staged("uncommitted stage produced a block")?;
+                self.staged = block_of(manager.evacuation_block(&states, &threats, now));
+            }
+            WalRecord::Commit { index, hash } => {
+                let Some(block) = self.staged.take() else {
+                    return Err("commit without a staged block".into());
+                };
+                if block.index() != index || block.hash() != hash {
+                    return Err(format!(
+                        "replay divergence at block {index}: replayed block {} does not match the committed hash",
+                        block.index()
+                    ));
+                }
+                self.unbroadcast.push(block);
+            }
+            WalRecord::Broadcasted { index } => {
+                self.nothing_staged("broadcast record for an uncommitted block")?;
+                self.unbroadcast.retain(|b| b.index() != index);
+            }
+            WalRecord::Release { vehicle } => {
+                self.nothing_staged("release record while a block was uncommitted")?;
+                manager.release_vehicle(vehicle);
+            }
+        }
+        Ok(())
+    }
+
+    /// Fails with `what` while a re-created block awaits its commit: the
+    /// live run moved past that stage without committing, so it cannot
+    /// have produced a block, yet the replay did.
+    fn nothing_staged(&self, what: &str) -> Result<(), String> {
+        match self.staged {
+            Some(_) => Err(what.into()),
+            None => Ok(()),
+        }
+    }
+
+    /// The block re-created by a trailing stage record with no commit
+    /// yet: the crash window itself.
+    pub(crate) fn staged(&self) -> Option<&Block> {
+        self.staged.as_ref()
+    }
+
+    /// Every block the fleet may not have seen — committed but never
+    /// marked broadcast, then the trailing staged block — in chain order.
+    pub(crate) fn finish(mut self) -> Vec<Block> {
+        self.unbroadcast.extend(self.staged);
+        self.unbroadcast.sort_by_key(Block::index);
+        self.unbroadcast
+    }
+}
+
+fn block_of(action: Option<ManagerAction>) -> Option<Block> {
+    match action {
+        Some(ManagerAction::BroadcastBlock(block)) => Some(block),
+        _ => None,
+    }
 }
 
 impl ImPersistence {
@@ -410,19 +509,13 @@ impl ImPersistence {
             snapshot_every,
             windows_since_snapshot: 0,
         };
+        let cold = |persist, reason: String| Ok((persist, RecoveryOutcome::Cold { reason }));
 
         let mut records = Vec::with_capacity(opened.records.len());
         for payload in &opened.records {
             match WalRecord::decode(payload) {
                 Some(r) => records.push(r),
-                None => {
-                    return Ok((
-                        persist,
-                        RecoveryOutcome::Cold {
-                            reason: "undecodable WAL record".into(),
-                        },
-                    ));
-                }
+                None => return cold(persist, "undecodable WAL record".into()),
             }
         }
 
@@ -436,12 +529,7 @@ impl ImPersistence {
                     unreachable!("rposition matched a snapshot");
                 };
                 if !manager.restore_durable(state) {
-                    return Ok((
-                        persist,
-                        RecoveryOutcome::Cold {
-                            reason: "snapshot rejected by scheduler restore".into(),
-                        },
-                    ));
+                    return cold(persist, "snapshot rejected by scheduler restore".into());
                 }
                 pos + 1
             }
@@ -449,94 +537,19 @@ impl ImPersistence {
         };
 
         // Re-execute the suffix.
-        let mut staged = Staged::None;
-        let mut unbroadcast: Vec<(u64, Block)> = Vec::new();
-        let mut cold: Option<String> = None;
+        let mut replay = Replay::default();
         let replayed = records.len() - replay_from;
         for record in records.drain(..).skip(replay_from) {
-            match record {
-                WalRecord::Snapshot(_) => {
-                    cold = Some("snapshot after the latest snapshot".into());
-                    break;
-                }
-                WalRecord::WindowStart { now, requests } => {
-                    if matches!(staged, Staged::Executed(Some(_))) {
-                        // The live run continued past this window without
-                        // committing, so it must not have produced a block;
-                        // our replay did — the log is inconsistent.
-                        cold = Some("uncommitted window produced a block".into());
-                        break;
-                    }
-                    let action = manager.on_window(&requests, now);
-                    staged = Staged::Executed(match action {
-                        Some(ManagerAction::BroadcastBlock(b)) => Some(b),
-                        _ => None,
-                    });
-                }
-                WalRecord::EvacStart {
-                    now,
-                    states,
-                    threats,
-                } => {
-                    if matches!(staged, Staged::Executed(Some(_))) {
-                        cold = Some("uncommitted stage produced a block".into());
-                        break;
-                    }
-                    let action = manager.evacuation_block(&states, &threats, now);
-                    staged = Staged::Executed(match action {
-                        Some(ManagerAction::BroadcastBlock(b)) => Some(b),
-                        _ => None,
-                    });
-                }
-                WalRecord::Commit { index, hash } => {
-                    let Staged::Executed(Some(block)) =
-                        std::mem::replace(&mut staged, Staged::None)
-                    else {
-                        cold = Some("commit without a staged block".into());
-                        break;
-                    };
-                    if block.index() != index || block.hash() != hash {
-                        cold = Some(format!(
-                            "replay divergence at block {index}: replayed block {} does not match the committed hash",
-                            block.index()
-                        ));
-                        break;
-                    }
-                    unbroadcast.push((index, block));
-                }
-                WalRecord::Broadcasted { index } => {
-                    if matches!(staged, Staged::Executed(Some(_))) {
-                        cold = Some("broadcast record for an uncommitted block".into());
-                        break;
-                    }
-                    unbroadcast.retain(|(i, _)| *i != index);
-                }
-                WalRecord::Release { vehicle } => {
-                    if matches!(staged, Staged::Executed(Some(_))) {
-                        cold = Some("release record while a block was uncommitted".into());
-                        break;
-                    }
-                    manager.release_vehicle(vehicle);
-                }
+            if let Err(reason) = replay.apply(manager, record) {
+                return cold(persist, reason);
             }
-        }
-        if let Some(reason) = cold {
-            return Ok((persist, RecoveryOutcome::Cold { reason }));
         }
 
         // A trailing stage without a commit is the crash window itself:
         // the block (if any) was re-created above — commit it now, then
         // hand it to the host for broadcast.
-        if let Staged::Executed(Some(block)) = staged {
-            persist.wal.append(
-                &WalRecord::Commit {
-                    index: block.index(),
-                    hash: block.hash(),
-                }
-                .encode(),
-            )?;
-            persist.wal.commit()?;
-            unbroadcast.push((block.index(), block));
+        if let Some(block) = replay.staged() {
+            persist.commit_block(block, true)?;
         }
 
         // Compact: everything above is now captured by one fresh
@@ -545,15 +558,14 @@ impl ImPersistence {
             persist.snapshot(manager)?;
         }
 
-        unbroadcast.sort_by_key(|(i, _)| *i);
-        let actions = unbroadcast
-            .into_iter()
-            .map(|(_, b)| ManagerAction::BroadcastBlock(b))
-            .collect();
         Ok((
             persist,
             RecoveryOutcome::Warm(WarmRecovery {
-                actions,
+                actions: replay
+                    .finish()
+                    .into_iter()
+                    .map(ManagerAction::BroadcastBlock)
+                    .collect(),
                 truncated_bytes: opened.truncated,
                 replayed_records: replayed,
             }),

@@ -4,11 +4,11 @@
 //! The paper's evacuation mechanism exists because an intersection
 //! manager can be attacked or silenced; this module supplies the
 //! availability half of that story. A [`StandbyManager`] tails the
-//! primary's WAL live through [`nwade_store::WalFollower`] and replays
-//! every record through the same deterministic handlers warm recovery
-//! uses ([`crate::persist`]) — so the replica *converges by
-//! construction*: at any instant its manager equals what
-//! `ImPersistence::attach` would reconstruct from the durable log, and
+//! primary's WAL live through [`nwade_store::WalFollower`] and feeds
+//! every record to the replay loop warm recovery runs
+//! (`ImPersistence::attach` in [`crate::persist`]) — one loop, so the
+//! replica *converges by construction*: at any instant its manager
+//! equals what `attach` would reconstruct from the durable log, and
 //! every in-stream snapshot doubles as a full-state convergence check.
 //!
 //! **Promotion** is driven by a heartbeat monitor built on
@@ -30,7 +30,7 @@
 //! Double-signing is structurally impossible after the handover window.
 
 use crate::manager::{ManagerAction, NwadeManager};
-use crate::persist::{ImPersistence, WalRecord};
+use crate::persist::{ImPersistence, Replay, WalRecord};
 use crate::retry::{Retrier, RetryDecision, RetryPolicy};
 use nwade_chain::{Block, ShardAnchor};
 use nwade_crypto::Digest;
@@ -123,13 +123,6 @@ impl StandbyPolicy {
     }
 }
 
-/// Mirrors the replay-loop staging of `ImPersistence::attach`: at most
-/// one scheduled-but-uncommitted block is in flight at a time.
-enum Staged {
-    None,
-    Executed(Option<Block>),
-}
-
 /// Everything a completed promotion hands the host: the manager (now at
 /// the incremented fencing epoch), a persistence handle that adopted
 /// the device without a recovery scan, and the committed-but-never-
@@ -172,8 +165,7 @@ pub struct StandbyManager {
     policy: StandbyPolicy,
     monitor: Retrier,
     missed: u32,
-    staged: Staged,
-    unbroadcast: Vec<(u64, Block)>,
+    replay: Replay,
     diverged: Option<String>,
     records_applied: u64,
     windows_applied: u64,
@@ -217,8 +209,7 @@ impl StandbyManager {
             snapshot_every,
             policy,
             missed: 0,
-            staged: Staged::None,
-            unbroadcast: Vec::new(),
+            replay: Replay::default(),
             diverged: None,
             records_applied: 0,
             windows_applied: 0,
@@ -252,79 +243,16 @@ impl StandbyManager {
                 self.diverged = Some("undecodable WAL record".into());
                 break;
             };
-            if let Err(reason) = self.apply(record) {
+            let window = matches!(record, WalRecord::WindowStart { .. });
+            if let Err(reason) = self.replay.apply(&mut self.manager, record) {
                 self.diverged = Some(reason);
                 break;
             }
             applied += 1;
+            self.windows_applied += u64::from(window);
         }
         self.records_applied += applied;
         Ok(applied)
-    }
-
-    fn apply(&mut self, record: WalRecord) -> Result<(), String> {
-        match record {
-            WalRecord::Snapshot(state) => {
-                // Live snapshots are the primary's own periodic state
-                // dumps: the replica replayed the same records, so they
-                // must agree — a free full-state convergence check.
-                if self.manager.durable_state() != state {
-                    return Err("snapshot disagrees with replayed state".into());
-                }
-            }
-            WalRecord::WindowStart { now, requests } => {
-                if matches!(self.staged, Staged::Executed(Some(_))) {
-                    return Err("uncommitted window produced a block".into());
-                }
-                let action = self.manager.on_window(&requests, now);
-                self.staged = Staged::Executed(match action {
-                    Some(ManagerAction::BroadcastBlock(b)) => Some(b),
-                    _ => None,
-                });
-                self.windows_applied += 1;
-            }
-            WalRecord::EvacStart {
-                now,
-                states,
-                threats,
-            } => {
-                if matches!(self.staged, Staged::Executed(Some(_))) {
-                    return Err("uncommitted stage produced a block".into());
-                }
-                let action = self.manager.evacuation_block(&states, &threats, now);
-                self.staged = Staged::Executed(match action {
-                    Some(ManagerAction::BroadcastBlock(b)) => Some(b),
-                    _ => None,
-                });
-            }
-            WalRecord::Commit { index, hash } => {
-                let Staged::Executed(Some(block)) =
-                    std::mem::replace(&mut self.staged, Staged::None)
-                else {
-                    return Err("commit without a staged block".into());
-                };
-                if block.index() != index || block.hash() != hash {
-                    return Err(format!(
-                        "replay divergence at block {index}: replica sealed block {} with a different hash",
-                        block.index()
-                    ));
-                }
-                self.unbroadcast.push((index, block));
-            }
-            WalRecord::Broadcasted { index } => {
-                if matches!(self.staged, Staged::Executed(Some(_))) {
-                    return Err("broadcast record for an uncommitted block".into());
-                }
-                self.unbroadcast.retain(|(i, _)| *i != index);
-            }
-            WalRecord::Release { vehicle } => {
-                if matches!(self.staged, Staged::Executed(Some(_))) {
-                    return Err("release record while a block was uncommitted".into());
-                }
-                self.manager.release_vehicle(vehicle);
-            }
-        }
-        Ok(())
     }
 
     /// The primary checked in: clear the miss counter and restart the
@@ -404,11 +332,7 @@ impl StandbyManager {
             policy: self.policy,
             monitor: self.monitor.clone(),
             missed: self.missed,
-            staged: match &self.staged {
-                Staged::None => Staged::None,
-                Staged::Executed(b) => Staged::Executed(b.clone()),
-            },
-            unbroadcast: self.unbroadcast.clone(),
+            replay: self.replay.clone(),
             diverged: self.diverged.clone(),
             records_applied: self.records_applied,
             windows_applied: self.windows_applied,
@@ -440,39 +364,35 @@ impl StandbyManager {
         self.manager.set_fencing_epoch(epoch);
 
         // A trailing stage without a commit is the primary's crash
-        // window: the block exists only in this replica now. Treat it
-        // like the committed-but-unbroadcast case below.
-        if let Staged::Executed(Some(block)) = self.staged {
-            self.unbroadcast.push((block.index(), block));
-        }
+        // window: the block exists only in this replica now, so it joins
+        // the committed-but-unbroadcast blocks.
+        let mut unbroadcast = self.replay.finish();
 
         let mut persistence =
             ImPersistence::adopt(self.follower.into_backend(), self.snapshot_every);
         // Re-seal the newest block the fleet has never seen under the
         // new epoch; already-broadcast blocks are immutable history.
         let tip_index = self.manager.chain_next_index().checked_sub(1);
-        if let Some(tip) = tip_index {
-            if self.unbroadcast.iter().any(|(i, _)| *i == tip) {
-                let fenced = self
-                    .manager
-                    .reseal_tip_with_fence()
-                    .ok_or_else(|| "no sealed block to re-sign at promotion".to_string())?;
-                persistence
-                    .commit_block(&fenced, true)
-                    .map_err(|e| format!("fenced commit append failed: {e}"))?;
-                self.unbroadcast.retain(|(i, _)| *i != tip);
-                self.unbroadcast.push((tip, fenced));
-            }
+        if let Some(tip) = unbroadcast
+            .iter_mut()
+            .find(|b| Some(b.index()) == tip_index)
+        {
+            let fenced = self
+                .manager
+                .reseal_tip_with_fence()
+                .ok_or_else(|| "no sealed block to re-sign at promotion".to_string())?;
+            persistence
+                .commit_block(&fenced, true)
+                .map_err(|e| format!("fenced commit append failed: {e}"))?;
+            *tip = fenced;
         }
         persistence
             .snapshot(&self.manager)
             .map_err(|e| format!("promotion snapshot failed: {e}"))?;
 
-        self.unbroadcast.sort_by_key(|(i, _)| *i);
-        let actions = self
-            .unbroadcast
+        let actions = unbroadcast
             .into_iter()
-            .map(|(_, b)| ManagerAction::BroadcastBlock(b))
+            .map(ManagerAction::BroadcastBlock)
             .collect();
         Ok(Promoted {
             manager: self.manager,
