@@ -219,19 +219,6 @@ impl ReservationScheduler {
             deadline: earliest + self.config.max_delay,
         };
         let (profile, occupancy) = seeker.seek(&mut self.scratch).unwrap_or_else(|| {
-            if std::env::var("NWADE_DEBUG").is_ok() {
-                // Diagnose why the earliest profile failed.
-                let probe = MotionProfile::arrive_at(
-                    now, req.speed, lim.v_max, lim.a_max, lim.d_max, d_plan, earliest - now,
-                );
-                let probe = MotionProfile::new(probe.start_time(), req.position_s, probe.start_speed(), probe.segments().to_vec());
-                let occ = occupancy_of(movement, &probe);
-                eprintln!(
-                    "[nwade-debug] scheduler fallback for {}: mv={} pos={:.1} v={:.1} d_plan={:.1} first_conflict={:?}",
-                    req.id, req.movement.index(), req.position_s, req.speed, d_plan,
-                    self.table.first_conflict(&occ, self.config.zone_gap, Some(req.id))
-                );
-            }
             // Saturated intersection: park without intruding on anyone —
             // traffic jam semantics.
             crate::reservation::park_fallback(

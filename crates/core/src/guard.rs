@@ -431,14 +431,7 @@ impl VehicleGuard {
                 }
                 actions
             }
-            Err(e @ (BlockFailure::Crypto(_) | BlockFailure::Chain(_))) => {
-                if std::env::var("NWADE_DEBUG").is_ok() {
-                    eprintln!(
-                        "[nwade-debug] guard {} crypto-rejects block {}: {e:?}",
-                        self.id,
-                        block.index()
-                    );
-                }
+            Err(BlockFailure::Crypto(_) | BlockFailure::Chain(_)) => {
                 let failures = self.crypto_failures.entry(block.index()).or_insert(0);
                 *failures += 1;
                 if *failures < MAX_CRYPTO_FAILURES {
@@ -460,14 +453,7 @@ impl VehicleGuard {
                     now,
                 )
             }
-            Err(e) => {
-                if std::env::var("NWADE_DEBUG").is_ok() {
-                    eprintln!(
-                        "[nwade-debug] guard {} rejects block {}: {e:?}",
-                        self.id,
-                        block.index()
-                    );
-                }
+            Err(_) => {
                 if readmitting {
                     // A validly signed conflicting block while waiting
                     // for recovery: the manager is provably misbehaving.

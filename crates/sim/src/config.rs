@@ -66,8 +66,8 @@ impl ImOutage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreConfig {
     /// Log the manager's durable state to a write-ahead log and recover
-    /// warm after crashes and outages. Ignored when the crate's `store`
-    /// feature is compiled out.
+    /// warm after crashes and outages. The only durability switch: off,
+    /// every restart takes the cold path.
     pub enabled: bool,
     /// Append a full state snapshot every N processing windows.
     pub snapshot_every: u32,
@@ -84,8 +84,7 @@ impl Default for StoreConfig {
 
 /// Hot-standby replica configuration: a second manager tails the
 /// primary's WAL live and is promoted when the heartbeat goes quiet.
-/// Requires the store (it is the replication channel); ignored when the
-/// crate's `store` feature is compiled out.
+/// Requires the store (it is the replication channel).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StandbyConfig {
     /// Run a standby replica.
@@ -116,7 +115,8 @@ impl Default for StandbyConfig {
 
 /// Kill the intersection manager at a labelled point inside a processing
 /// window and let it recover from the durable store (chaos harness).
-/// Requires the `store` feature; fires at most once per run.
+/// With the store disabled, recovery is always cold. Fires at most once
+/// per run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashPlan {
     /// The first non-empty processing window at or after this time

@@ -5,13 +5,12 @@
 //! tripped or a false report slipped through, the only recourse was
 //! re-running the whole scenario from tick zero. [`WorldHistory`]
 //! instead snapshots the **full world** (vehicles with their protocol
-//! guards, the manager stack scheduler-and-chain included, in-flight
-//! VANET messages, the RNG stream, and — with the `store` feature — the
-//! forked durable device) every K ticks into a bounded ring, records a
-//! compact per-tick state hash for the whole run, and auto-pins a
-//! rewind point whenever an incident fires (invariant violation,
-//! benign self-evacuation, false-report acceptance, violation
-//! confirmation).
+//! guards, the IM unit with its scheduler, chain and forked durable
+//! device, in-flight VANET messages, the RNG stream) every K ticks into
+//! a bounded ring, records a compact per-tick state hash for the whole
+//! run, and auto-pins a rewind point whenever an incident fires
+//! (invariant violation, benign self-evacuation, false-report
+//! acceptance, violation confirmation).
 //!
 //! Replay is bit-identical **by construction**: a snapshot is a deep
 //! [`Simulation::clone`] and the engine is a deterministic fixed-timestep

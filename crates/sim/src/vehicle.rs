@@ -2,7 +2,7 @@
 
 use nwade::attack::ViolationKind;
 use nwade::{Retrier, RetryPolicy, VehicleGuard};
-use nwade_aim::TravelPlan;
+use nwade_aim::{PlanRequest, TravelPlan};
 use nwade_geometry::Vec2;
 use nwade_intersection::{MovementId, Topology};
 use nwade_traffic::{KinematicLimits, VehicleDescriptor, VehicleId};
@@ -118,6 +118,17 @@ impl VehicleAgent {
             base
         } else {
             base + path.heading_at(self.s).perp() * self.lateral
+        }
+    }
+
+    /// A plan request for this vehicle's movement from where it is now.
+    pub fn plan_request(&self) -> PlanRequest {
+        PlanRequest {
+            id: self.id,
+            descriptor: self.descriptor.clone(),
+            movement: self.movement,
+            position_s: self.s,
+            speed: self.speed,
         }
     }
 

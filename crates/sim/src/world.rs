@@ -5,35 +5,39 @@
 //!
 //! Every `dt` (default 100 ms) one tick runs, in order:
 //!
-//! 1. **Spawning** — due Poisson arrivals enter if their lane's entry is
+//! 1. **IM unit** — the [`ImuAgent`] restarts the manager if its
+//!    darkness just ended and drives the standby; the blocks a recovery
+//!    or promotion owes the fleet go out, then a due zombie's block.
+//! 2. **Spawning** — due Poisson arrivals enter if their lane's entry is
 //!    clear by a full stopping distance; each spawn sends a plan request
 //!    to the manager.
-//! 2. **Plan re-requests** — vehicles still cruising without a plan ask
+//! 3. **Plan re-requests** — vehicles still cruising without a plan ask
 //!    again every 5 s (covers manager deferrals and lost blocks).
-//! 3. **Announcement re-broadcast** — self-evacuating vehicles repeat
+//! 4. **Announcement re-broadcast** — self-evacuating vehicles repeat
 //!    their global report every 2 s so newcomers learn they are off-plan.
-//! 4. **Attack injection** — at the configured start, the Table I roles
+//! 5. **Attack injection** — at the configured start, the Table I roles
 //!    are assigned to live vehicles and false reports are scheduled.
-//! 5. **Physics** — the collision-avoidance layer (car-following toward
+//! 6. **Physics** — the collision-avoidance layer (car-following toward
 //!    off-plan leaders, headway cone, anticipated-crossing yield) marks
 //!    emergency braking; every vehicle then advances per its
 //!    [`DriveMode`].
-//! 6. **Divergence check** — a benign vehicle pushed > 3 m off its plan
+//! 7. **Divergence check** — a benign vehicle pushed > 3 m off its plan
 //!    by braking self-evacuates and announces itself (§IV-B5).
-//! 7. **Ground truth** — collisions are recorded from world positions,
+//! 8. **Ground truth** — collisions are recorded from world positions,
 //!    independent of any protocol state.
-//! 8. **Message plane** — due VANET deliveries dispatch into the vehicle
+//! 9. **Message plane** — due VANET deliveries dispatch into the vehicle
 //!    guards and the manager agent; their actions are executed (sends,
 //!    plan adoption, self-evacuation, metrics).
-//! 9. **Sensing pass** (every 500 ms) — each benign vehicle observes
-//!    neighbours in range and runs Algorithm 2 through its guard.
-//! 10. **Manager window** (every δ = 1 s) — queued plan requests are
-//!     scheduled, filtered, packaged and broadcast (Eq. 1).
-//! 11. **Threat-cleared check** — once a confirmed violator stops or
+//! 10. **Sensing pass** (every 500 ms) — each benign vehicle observes
+//!     neighbours in range and runs Algorithm 2 through its guard.
+//! 11. **Manager window** (every δ = 1 s, if the manager was up when the
+//!     tick began) — queued plan requests are scheduled, filtered,
+//!     packaged, logged and broadcast (Eq. 1).
+//! 12. **Threat-cleared check** — once a confirmed violator stops or
 //!     exits, recovery replans every vehicle parked by the evacuation.
 
 use crate::adversary::{AdaptiveState, AttackPolicy, SYBIL_ID_BASE};
-use crate::config::{ImOutage, SchedulerChoice, SignatureChoice, SimConfig};
+use crate::config::{SignatureChoice, SimConfig};
 use crate::imu::{ImuAction, ImuAgent};
 use crate::invariant::{InvariantChecker, VehicleSnapshot};
 use crate::metrics::SimMetrics;
@@ -44,23 +48,14 @@ use nwade::attack::{AttackSetting, ViolationKind};
 use nwade::messages::{
     class, GlobalClaim, GlobalReport, IncidentReport, NwadeMessage, Observation,
 };
-#[cfg(feature = "store")]
-use nwade::{CrashPoint, ImPersistence, RecoveryOutcome, StandbyManager, StandbyPolicy};
 use nwade::{
-    EvacuationCause, GuardAction, ManagerAction, NwadeConfig, NwadeManager, RetryDecision,
-    VehicleGuard,
+    EvacuationCause, GuardAction, ManagerAction, NwadeConfig, RetryDecision, VehicleGuard,
 };
-use nwade_aim::TravelPlan;
-use nwade_aim::{
-    AdmissionQueue, FcfsScheduler, PlanRequest, ReservationScheduler, Scheduler, SchedulerConfig,
-    TrafficLightScheduler,
-};
+use nwade_aim::{AdmissionQueue, PlanRequest, TravelPlan};
 use nwade_chain::tamper;
 use nwade_crypto::{CachingVerifier, Digest, MockScheme, RsaKeyPair, RsaScheme, SignatureScheme};
 use nwade_geometry::{GridIndex, MotionProfile, Vec2};
 use nwade_intersection::{build, LegId, MovementId, Topology};
-#[cfg(feature = "store")]
-use nwade_store::{MemBackend, Wal};
 use nwade_traffic::{DemandGenerator, SpawnEvent, VehicleDescriptor, VehicleId};
 use nwade_vanet::{Medium, NodeId, Recipient};
 use rand::rngs::StdRng;
@@ -132,7 +127,9 @@ pub struct Handoff {
 /// Persistent per-tick buffers. The hot phases (positions, sensing
 /// snapshot, invariant snapshots, grid rebuilds) reuse these instead of
 /// re-allocating every tick — at high density the churn dominated the
-/// allocator profile.
+/// allocator profile. Every phase overwrites a buffer before reading it,
+/// so they carry no state from one tick to the next.
+#[derive(Clone)]
 struct TickScratch {
     /// `(id, position)` of every active vehicle, ID order.
     positions: Vec<(u64, Vec2)>,
@@ -151,6 +148,12 @@ struct TickScratch {
 }
 
 /// The simulation world.
+///
+/// Cloning deep-copies the whole world — the forensic snapshot
+/// primitive: vehicles (guards included), the IM unit (manager, durable
+/// device and standby), in-flight messages, the RNG stream and the
+/// attack bookkeeping.
+#[derive(Clone)]
 pub struct Simulation {
     config: SimConfig,
     topo: Arc<Topology>,
@@ -182,7 +185,6 @@ pub struct Simulation {
     sybil_next_fire: f64,
     /// The innocent vehicle the Sybil phantoms accuse.
     sybil_target: Option<VehicleId>,
-    corrupted_index: Option<u64>,
     collided: HashSet<(u64, u64)>,
     threat_cleared: bool,
     /// Index of the most recently broadcast block.
@@ -196,32 +198,6 @@ pub struct Simulation {
     last_announce: std::collections::HashMap<u64, f64>,
     /// Tick-time safety-invariant checking (chaos harness).
     invariants: InvariantChecker,
-    /// Whether the manager was inside its outage window last tick (for
-    /// restart edge detection).
-    im_was_down: bool,
-    /// Darkness imposed by a cold crash recovery (the manager is down
-    /// while it rebuilds from the persisted chain).
-    forced_outage: Option<ImOutage>,
-    /// Whether the configured crash-point injection already fired.
-    #[cfg(feature = "store")]
-    crash_fired: bool,
-    /// The durable device the manager logs to, shared with the chaos
-    /// harness so crashes and corruption can be injected mid-run.
-    #[cfg(feature = "store")]
-    store_handle: MemBackend,
-    /// Active persistence session; `None` when durability is disabled
-    /// by config or the store failed.
-    #[cfg(feature = "store")]
-    persistence: Option<ImPersistence>,
-    /// Hot-standby replica tailing the primary's WAL; consumed by
-    /// promotion when the heartbeat miss bound trips.
-    #[cfg(feature = "store")]
-    standby: Option<StandbyManager>,
-    /// A "dead" primary that was secretly only slow: at the scheduled
-    /// time it seals one late, conflicting block from its stale state —
-    /// the split-brain double-sign attempt fencing must reject.
-    #[cfg(feature = "store")]
-    zombie: Option<(f64, NwadeManager)>,
     /// Ticks advanced since construction (the forensic clock: snapshot
     /// and rewind points are addressed by tick, not by float time).
     ticks: u64,
@@ -239,91 +215,6 @@ pub struct Simulation {
     handoff_wait: BTreeMap<u64, f64>,
     /// Reusable per-tick buffers and spatial indices.
     scratch: TickScratch,
-}
-
-impl Clone for Simulation {
-    /// Deep copy of the whole world — the forensic snapshot primitive.
-    ///
-    /// Everything that influences future behaviour is duplicated:
-    /// vehicles (guards included), the manager stack, in-flight
-    /// messages, the RNG stream, attack bookkeeping, and (with the
-    /// `store` feature) the durable device itself, forked with its
-    /// volatile/durable boundary intact so crash injections tear
-    /// identically in the copy. The per-tick scratch buffers are
-    /// rebuilt empty — every phase overwrites them before reading, so
-    /// they carry no cross-tick state.
-    fn clone(&self) -> Self {
-        #[cfg(feature = "store")]
-        let store_handle = self.store_handle.fork();
-        #[cfg(feature = "store")]
-        let persistence = self
-            .persistence
-            .as_ref()
-            .map(|p| p.fork_onto(Box::new(store_handle.clone())));
-        #[cfg(feature = "store")]
-        let standby = self
-            .standby
-            .as_ref()
-            .map(|s| s.fork_onto(Box::new(store_handle.clone())));
-        Simulation {
-            config: self.config.clone(),
-            topo: self.topo.clone(),
-            rng: self.rng.clone(),
-            medium: self.medium.clone(),
-            imu: self.imu.clone(),
-            vehicles: self.vehicles.clone(),
-            spawn_queue: self.spawn_queue.clone(),
-            pending_requests: self.pending_requests.clone(),
-            now: self.now,
-            metrics: self.metrics.clone(),
-            scheme: self.scheme.clone(),
-            last_window: self.last_window,
-            last_sense: self.last_sense,
-            attack_deployed: self.attack_deployed,
-            violator: self.violator,
-            accused: self.accused,
-            colluders: self.colluders.clone(),
-            false_report_schedule: self.false_report_schedule.clone(),
-            adversary_deployed: self.adversary_deployed,
-            adaptive: self.adaptive,
-            sybil_next_fire: self.sybil_next_fire,
-            sybil_target: self.sybil_target,
-            corrupted_index: self.corrupted_index,
-            collided: self.collided.clone(),
-            threat_cleared: self.threat_cleared,
-            last_block_index: self.last_block_index,
-            bogus_claim_index: self.bogus_claim_index,
-            announced_evacuating: self.announced_evacuating.clone(),
-            last_announce: self.last_announce.clone(),
-            invariants: self.invariants.clone(),
-            im_was_down: self.im_was_down,
-            forced_outage: self.forced_outage,
-            #[cfg(feature = "store")]
-            crash_fired: self.crash_fired,
-            #[cfg(feature = "store")]
-            store_handle,
-            #[cfg(feature = "store")]
-            persistence,
-            #[cfg(feature = "store")]
-            standby,
-            #[cfg(feature = "store")]
-            zombie: self.zombie.clone(),
-            ticks: self.ticks,
-            boundary_exits: self.boundary_exits.clone(),
-            outbound_handoffs: self.outbound_handoffs.clone(),
-            inbound_handoffs: self.inbound_handoffs.clone(),
-            handoff_wait: self.handoff_wait.clone(),
-            scratch: TickScratch {
-                positions: Vec::new(),
-                sense: Vec::new(),
-                snapshots: Vec::new(),
-                points: Vec::new(),
-                pair_grid: GridIndex::with_cell(2.0 * COLLISION_DISTANCE),
-                brake_grid: GridIndex::with_cell(BRAKE_GRID_CELL),
-                sense_grid: GridIndex::with_cell(self.config.nwade.sensing_radius),
-            },
-        }
-    }
 }
 
 impl std::fmt::Debug for Simulation {
@@ -360,46 +251,7 @@ impl Simulation {
                 RsaKeyPair::generate(bits, &mut rng),
             ))),
         };
-        #[allow(unused_mut)] // mutated only by the store-feature attach below
-        let mut manager = Self::build_manager(&config, &topo, &scheme);
-        #[cfg(feature = "store")]
-        let store_handle = MemBackend::new();
-        // A fresh store attaches as a trivially warm no-op; the handle is
-        // kept so crash recovery can re-open the same device later.
-        #[cfg(feature = "store")]
-        let persistence = if config.store.enabled && config.nwade_enabled {
-            ImPersistence::attach(
-                Box::new(store_handle.clone()),
-                config.store.snapshot_every,
-                &mut manager,
-            )
-            .ok()
-            .map(|(p, _)| p)
-        } else {
-            None
-        };
-        // The hot standby starts from an identical genesis manager and
-        // tails the same device the primary logs to; the full history
-        // (empty at construction) replays on its first poll.
-        #[cfg(feature = "store")]
-        let standby = if config.standby.enabled && persistence.is_some() {
-            Some(StandbyManager::new(
-                Self::build_manager(&config, &topo, &scheme),
-                Wal::follow(Box::new(store_handle.clone())),
-                config.store.snapshot_every,
-                StandbyPolicy {
-                    heartbeat_interval: config.standby.heartbeat_interval,
-                    miss_bound: config.standby.miss_bound,
-                    jitter: config.standby.jitter,
-                    salt: config.seed ^ 0x57A4_DB15,
-                },
-                0.0,
-            ))
-        } else {
-            None
-        };
-        let im_malicious = config.attack.is_some_and(|a| a.setting.im_malicious());
-        let imu = ImuAgent::new(manager, topo.clone(), scheme.clone(), im_malicious);
+        let imu = ImuAgent::new(&config, topo.clone(), scheme.clone());
 
         let mut demand =
             DemandGenerator::new(config.density, config.turn_mix, config.initial_speed);
@@ -437,7 +289,6 @@ impl Simulation {
             adaptive: None,
             sybil_next_fire: 0.0,
             sybil_target: None,
-            corrupted_index: None,
             collided: HashSet::new(),
             threat_cleared: false,
             last_block_index: None,
@@ -445,18 +296,6 @@ impl Simulation {
             announced_evacuating: HashSet::new(),
             last_announce: std::collections::HashMap::new(),
             invariants: InvariantChecker::new(),
-            im_was_down: false,
-            forced_outage: None,
-            #[cfg(feature = "store")]
-            crash_fired: false,
-            #[cfg(feature = "store")]
-            store_handle,
-            #[cfg(feature = "store")]
-            persistence,
-            #[cfg(feature = "store")]
-            standby,
-            #[cfg(feature = "store")]
-            zombie: None,
             ticks: 0,
             boundary_exits: HashSet::new(),
             outbound_handoffs: Vec::new(),
@@ -573,8 +412,8 @@ impl Simulation {
             h.u64(u64::from(v.is_active()));
             h.u64(v.plan.as_ref().map_or(u64::MAX, |p| p.id().raw()));
         }
-        h.u64(self.imu.manager.chain_next_index());
-        let tip = self.imu.manager.chain_tip();
+        h.u64(self.imu.manager().chain_next_index());
+        let tip = self.imu.manager().chain_tip();
         let mut tip8 = [0u8; 8];
         tip8.copy_from_slice(&tip.as_bytes()[..8]);
         h.u64(u64::from_be_bytes(tip8));
@@ -658,16 +497,7 @@ impl Simulation {
             .map(|v| {
                 let movement = self.topo.movement(v.movement);
                 let deadline = (movement.box_entry() - v.s) / v.speed.max(0.1);
-                (
-                    deadline,
-                    PlanRequest {
-                        id: v.id,
-                        descriptor: v.descriptor.clone(),
-                        movement: v.movement,
-                        position_s: v.s,
-                        speed: v.speed,
-                    },
-                )
+                (deadline, v.plan_request())
             })
             .collect();
         let offered = candidates.len();
@@ -714,7 +544,7 @@ impl Simulation {
             let requests = self.admit_pending(now);
             let deferred = self.metrics.last_window_shed_gap;
             if let Some(ManagerAction::BroadcastBlock(b)) =
-                self.imu.manager.on_window(&requests, now)
+                self.imu.manager_mut().on_window(&requests, now)
             {
                 sealed += b.plans().len();
             }
@@ -773,14 +603,7 @@ impl Simulation {
                     model: "fleet".into(),
                     color: "grey".into(),
                 };
-                let guard = VehicleGuard::new(
-                    id,
-                    self.topo.clone(),
-                    self.scheme.clone(),
-                    self.config.nwade,
-                );
-                let mut agent =
-                    VehicleAgent::new(id, movement, descriptor.clone(), guard, SPEED, self.now);
+                let mut agent = self.new_agent(id, movement, descriptor.clone(), SPEED);
                 agent.s = s;
                 let path = self.topo.movement(movement).path();
                 agent.plan = Some(TravelPlan::new(
@@ -849,15 +672,24 @@ impl Simulation {
         self.now += self.config.dt;
         let now = self.now;
 
-        let im_down = self.im_down(now);
-        if self.im_was_down && !im_down {
-            self.im_restart(now);
-        }
-        self.im_was_down = im_down;
-        #[cfg(feature = "store")]
-        {
-            self.drive_standby(!im_down, now);
-            self.fire_zombie(now);
+        let vehicles = &self.vehicles;
+        let start = self.imu.begin_tick(now, &mut self.metrics, || {
+            vehicles
+                .values()
+                .filter(|v| v.is_active())
+                .map(VehicleAgent::plan_request)
+                .collect()
+        });
+        self.handle_imu_actions(start.recovered, now);
+        if let Some(block) = start.zombie {
+            self.medium.send(
+                NodeId::Imu,
+                Recipient::Broadcast,
+                class::BLOCK,
+                NwadeMessage::Block(block),
+                now,
+                &mut self.rng,
+            );
         }
 
         self.spawn_due(now);
@@ -878,342 +710,28 @@ impl Simulation {
         }
         if now - self.last_window >= self.nwade_cfg().processing_window {
             self.last_window = now;
-            if !im_down {
+            if start.up {
                 self.process_window(now);
             }
             // Chain integrity is checked at window cadence (the chain
             // only grows in windows; per-tick would re-verify the same
             // blocks ten times over).
-            let chain = self.imu.manager.blocks_from(0);
+            let chain = self.imu.manager().blocks_from(0);
             self.invariants.check_chain(&chain, now);
         }
         self.check_threat_cleared();
         self.check_vehicle_invariants(now);
     }
 
-    /// Builds the manager + scheduler stack from the config (used at
-    /// construction and again when crash recovery restarts the process).
-    fn build_manager(
-        config: &SimConfig,
-        topo: &Arc<Topology>,
-        scheme: &Arc<dyn SignatureScheme>,
-    ) -> NwadeManager {
-        let sched_cfg = SchedulerConfig {
-            limits: config.limits,
-            ..SchedulerConfig::default()
-        };
-        let scheduler: Box<dyn Scheduler + Send> = match config.scheduler {
-            SchedulerChoice::Reservation => {
-                Box::new(ReservationScheduler::new(topo.clone(), sched_cfg))
-            }
-            SchedulerChoice::Fcfs => Box::new(FcfsScheduler::new(topo.clone(), sched_cfg)),
-            SchedulerChoice::TrafficLight => Box::new(TrafficLightScheduler::new(
-                topo.clone(),
-                sched_cfg,
-                Default::default(),
-            )),
-        };
-        NwadeManager::new(topo.clone(), scheduler, scheme.clone(), config.nwade)
-    }
-
-    /// `true` while the manager is inside a configured or crash-imposed
-    /// outage window.
-    fn im_down(&self, now: f64) -> bool {
-        self.config.im_outage.is_some_and(|o| o.covers(now))
-            || self.forced_outage.is_some_and(|o| o.covers(now))
-    }
-
-    /// The manager comes back from an outage. With the durable store
-    /// active, a fresh manager is rebuilt from snapshot + WAL replay
-    /// (warm: reservations and chain tip intact); otherwise — or when
-    /// the store is unusable — the existing cold path runs: transient
-    /// conversational state (in-flight report verifications) is gone,
-    /// the chain and the published-plan ledger survive. Vehicles that
-    /// self-evacuated on the IM timeout re-admit themselves when the
-    /// next fresh block they can verify against their cached chain
-    /// arrives — no special resync message exists, exactly as in the
-    /// paper's model where the chain is the only shared state.
-    fn im_restart(&mut self, now: f64) {
-        if self.forced_outage.take().is_some() {
-            // End of a cold-crash downtime: the warm/cold decision was
-            // made (and counted) at crash time; the manager just wakes.
-            self.imu.manager.restart();
-            return;
-        }
-        #[cfg(feature = "store")]
-        if self.persistence.is_some() && self.try_warm_swap(now) {
-            self.metrics.warm_recoveries += 1;
-            return;
-        }
-        let _ = now;
-        self.imu.manager.restart();
-        self.metrics.cold_recoveries += 1;
-    }
-
-    /// Rebuilds the manager from the durable store. On success the
-    /// recovered manager replaces the live one and committed-but-
-    /// unbroadcast blocks go out; on failure (`Cold` or a device error)
-    /// the live manager is left untouched and persistence stays off.
-    #[cfg(feature = "store")]
-    fn try_warm_swap(&mut self, now: f64) -> bool {
-        self.persistence = None;
-        let mut fresh = Self::build_manager(&self.config, &self.topo, &self.scheme);
-        let attached = ImPersistence::attach(
-            Box::new(self.store_handle.clone()),
-            self.config.store.snapshot_every,
-            &mut fresh,
-        );
-        match attached {
-            Ok((persist, RecoveryOutcome::Warm(warm))) => {
-                self.imu.manager = fresh;
-                self.persistence = Some(persist);
-                self.metrics.wal_truncated_bytes += warm.truncated_bytes;
-                let rebroadcast: Vec<ImuAction> = warm
-                    .actions
-                    .into_iter()
-                    .filter_map(|a| match a {
-                        ManagerAction::BroadcastBlock(b) => Some(ImuAction::Broadcast(b)),
-                        _ => None,
-                    })
-                    .collect();
-                self.handle_imu_actions(rebroadcast, now);
-                true
-            }
-            Ok((_, RecoveryOutcome::Cold { reason })) => {
-                if std::env::var("NWADE_DEBUG").is_ok() {
-                    eprintln!("[nwade-debug] t={now:.2} warm recovery refused: {reason}");
-                }
-                false
-            }
-            Err(e) => {
-                if std::env::var("NWADE_DEBUG").is_ok() {
-                    eprintln!("[nwade-debug] t={now:.2} store unreadable: {e}");
-                }
-                false
-            }
-        }
-    }
-
-    /// Drives the hot standby once per tick: replication poll, heartbeat
-    /// accounting while the primary is up, and the bounded-miss
-    /// promotion rule once it goes silent.
-    #[cfg(feature = "store")]
-    fn drive_standby(&mut self, primary_up: bool, now: f64) {
-        let Some(standby) = self.standby.as_mut() else {
-            return;
-        };
-        // Replication first; lag is sampled before the drain, so the
-        // metric records the largest backlog a poll ever found.
-        if let Ok(lag) = standby.lag_records() {
-            self.metrics.standby_max_lag_records = self.metrics.standby_max_lag_records.max(lag);
-        }
-        let _ = standby.poll();
-        if primary_up {
-            standby.heartbeat(now);
-        } else if standby.due_promotion(now) {
-            self.promote_standby(now);
-        }
-    }
-
-    /// The miss bound tripped: the standby takes over as primary,
-    /// ending the outage immediately. When promotion is refused (a
-    /// diverged replica, a device error) the standby is dropped and the
-    /// cold-downtime fallback keeps running instead.
-    #[cfg(feature = "store")]
-    fn promote_standby(&mut self, now: f64) {
-        let Some(standby) = self.standby.take() else {
-            return;
-        };
-        let windows = standby.windows_applied();
-        match standby.promote() {
-            Ok(promoted) => {
-                if std::env::var("NWADE_DEBUG").is_ok() {
-                    eprintln!(
-                        "[nwade-debug] t={now:.2} standby promoted: epoch={} windows={windows}",
-                        promoted.epoch
-                    );
-                }
-                self.imu.manager = promoted.manager;
-                self.persistence = Some(promoted.persistence);
-                // Darkness ends at takeover, not at the cold downtime;
-                // clearing the outage here also keeps the restart edge
-                // from counting a second recovery later.
-                self.forced_outage = None;
-                self.im_was_down = false;
-                self.metrics.standby_promotions += 1;
-                self.metrics.standby_windows_applied = windows;
-                if let Some(t) = self.metrics.im_crash_time {
-                    self.metrics.standby_promotion_latency = Some(now - t);
-                }
-                let rebroadcast: Vec<ImuAction> = promoted
-                    .actions
-                    .into_iter()
-                    .filter_map(|a| match a {
-                        ManagerAction::BroadcastBlock(b) => Some(ImuAction::Broadcast(b)),
-                        _ => None,
-                    })
-                    .collect();
-                self.handle_imu_actions(rebroadcast, now);
-            }
-            Err(reason) => {
-                if std::env::var("NWADE_DEBUG").is_ok() {
-                    eprintln!("[nwade-debug] t={now:.2} standby promotion refused: {reason}");
-                }
-                // The replica could not be trusted; the crash resolves
-                // through the cold path after all.
-                self.metrics.cold_recoveries += 1;
-            }
-        }
-    }
-
-    /// Fires the scheduled zombie: the ex-primary seals one more block
-    /// from its stale in-memory state and puts it on the air without
-    /// committing anywhere. Vehicle guards must fence it off — it is
-    /// sealed under the pre-failover epoch and chains onto a tip hash
-    /// the promotion re-seal replaced.
-    #[cfg(feature = "store")]
-    fn fire_zombie(&mut self, now: f64) {
-        if !self.zombie.as_ref().is_some_and(|(at, _)| now >= *at) {
-            return;
-        }
-        let (_, mut zombie) = self.zombie.take().expect("zombie just checked");
-        let states: Vec<PlanRequest> = self
-            .vehicles
-            .values()
-            .filter(|v| v.is_active())
-            .map(|v| PlanRequest {
-                id: v.id,
-                descriptor: v.descriptor.clone(),
-                movement: v.movement,
-                position_s: v.s,
-                speed: v.speed,
-            })
-            .collect();
-        if states.is_empty() {
-            return;
-        }
-        let Some(ManagerAction::BroadcastBlock(block)) = zombie.on_window(&states, now) else {
-            return;
-        };
-        if std::env::var("NWADE_DEBUG").is_ok() {
-            eprintln!(
-                "[nwade-debug] t={now:.2} zombie primary broadcasts stale-epoch block idx={}",
-                block.index()
-            );
-        }
-        self.medium.send(
-            NodeId::Imu,
-            Recipient::Broadcast,
-            class::BLOCK,
-            NwadeMessage::Block(block),
-            now,
-            &mut self.rng,
-        );
-    }
-
-    /// Turns durability off after a device error (the log can no longer
-    /// be trusted to match the manager).
-    #[cfg(feature = "store")]
-    fn disable_store(&mut self, context: &str) {
-        eprintln!("[nwade-sim] durable store failed ({context}); disabling durability");
-        self.persistence = None;
-    }
-
-    /// The configured crash, when it is due to fire this window.
-    #[cfg(feature = "store")]
-    fn due_crash(&self, now: f64) -> Option<crate::config::CrashPlan> {
-        let plan = self.config.im_crash?;
-        (!self.crash_fired && now >= plan.at).then_some(plan)
-    }
-
-    /// Kills the manager process at the given crash point, mid-window.
-    /// `staged` is the block the dying window produced (discarded —
-    /// never broadcast by the crashing process). Recovery then either
-    /// comes back warm the same tick, or goes dark for the cold
-    /// downtime.
-    #[cfg(feature = "store")]
-    fn crash_im(
-        &mut self,
-        plan: crate::config::CrashPlan,
-        staged: Option<nwade_chain::Block>,
-        now: f64,
-    ) {
-        self.crash_fired = true;
-        self.metrics.im_crashes += 1;
-        self.metrics.im_crash_time = Some(now);
-        let had_store = self.persistence.is_some();
-        match plan.point {
-            CrashPoint::AfterStage => {
-                // Nothing about the staged block reached the device.
-                self.store_handle.crash(0);
-            }
-            CrashPoint::BeforeCommit => {
-                // The commit record dies half-written: a torn tail the
-                // recovery scan must truncate.
-                if let (Some(p), Some(b)) = (self.persistence.as_mut(), staged.as_ref()) {
-                    let _ = p.commit_block(b, false);
-                }
-                self.store_handle.crash(10);
-            }
-            CrashPoint::AfterCommit => {
-                // Committed and durable, but the broadcast never went
-                // out: recovery must re-send exactly this block.
-                if let (Some(p), Some(b)) = (self.persistence.as_mut(), staged.as_ref()) {
-                    let _ = p.commit_block(b, true);
-                }
-                self.store_handle.crash(0);
-            }
-            CrashPoint::ProcessLoss => {
-                // The whole process is gone, page cache included: only
-                // synced bytes survive; the staged block and the
-                // persistence handle die with it. Nothing
-                // restarts in place — darkness ends at standby promotion
-                // or, with no standby, after the cold rebuild downtime.
-                self.store_handle.crash(0);
-                self.persistence = None;
-                if let Some(delay) = self.config.standby.zombie_delay {
-                    // The "dead" primary was secretly only slow: its
-                    // in-memory state (dying window absorbed) survives
-                    // to attempt one late, conflicting block.
-                    self.zombie = Some((now + delay, self.imu.manager.clone()));
-                }
-                if self.standby.is_none() {
-                    self.metrics.cold_recoveries += 1;
-                }
-                self.forced_outage = Some(ImOutage {
-                    start: now,
-                    duration: plan.cold_downtime,
-                });
-                self.im_was_down = true;
-                return;
-            }
-        }
-        self.persistence = None; // the process died with its handle
-        if had_store && self.try_warm_swap(now) {
-            self.metrics.warm_recoveries += 1;
-            return;
-        }
-        // Cold: the in-memory state of the crashed process is gone and
-        // the store cannot reconstruct it. The manager stays dark while
-        // it restores from the persisted chain (the same fiction as
-        // `ImOutage`), and the outage-end edge restarts it.
-        self.metrics.cold_recoveries += 1;
-        self.forced_outage = Some(ImOutage {
-            start: now,
-            duration: plan.cold_downtime,
-        });
-        self.im_was_down = true;
-    }
-
     /// The manager's durable chain height (index of the next block) —
     /// recovery differential tests compare this across runs.
     pub fn chain_next_index(&self) -> u64 {
-        self.imu.manager.chain_next_index()
+        self.imu.manager().chain_next_index()
     }
 
     /// The manager's chain tip hash `h_{i-1}`.
     pub fn chain_tip(&self) -> nwade_crypto::Digest {
-        self.imu.manager.chain_tip()
+        self.imu.manager().chain_tip()
     }
 
     /// Ground-truth and protocol-consistency invariants, every tick; the
@@ -1260,19 +778,7 @@ impl Simulation {
             if front.time > now {
                 break;
             }
-            // Gate: the lane entry must be clear far enough that the new
-            // vehicle could brake to a stop behind stalled traffic.
-            let spawn_gap = self.config.limits.stopping_distance(front.speed) + 30.0;
-            let movement = self.topo.movement(front.movement);
-            let lane_key = (movement.from_leg(), movement.from_lane());
-            let blocked = self.vehicles.values().any(|v| {
-                if !v.is_active() {
-                    return false;
-                }
-                let m = self.topo.movement(v.movement);
-                (m.from_leg(), m.from_lane()) == lane_key && v.s < spawn_gap
-            });
-            if blocked {
+            if !self.lane_entry_clear(front.movement, front.speed) {
                 // Hold the spawn until the lane clears.
                 let mut ev = self.spawn_queue.pop_front().expect("front exists");
                 ev.time = now + 1.0;
@@ -1291,33 +797,44 @@ impl Simulation {
         }
     }
 
-    fn spawn(&mut self, ev: SpawnEvent, now: f64) {
+    /// Gate for a vehicle entering at the start of `movement` at `speed`:
+    /// its lane must be clear far enough that it could brake to a stop
+    /// behind stalled traffic.
+    fn lane_entry_clear(&self, movement: MovementId, speed: f64) -> bool {
+        let gap = self.config.limits.stopping_distance(speed) + 30.0;
+        let m = self.topo.movement(movement);
+        let lane = (m.from_leg(), m.from_lane());
+        !self.vehicles.values().filter(|v| v.is_active()).any(|v| {
+            let vm = self.topo.movement(v.movement);
+            (vm.from_leg(), vm.from_lane()) == lane && v.s < gap
+        })
+    }
+
+    /// A vehicle at the start of `movement`, with a fresh guard.
+    fn new_agent(
+        &self,
+        id: VehicleId,
+        movement: MovementId,
+        descriptor: VehicleDescriptor,
+        speed: f64,
+    ) -> VehicleAgent {
         let guard = VehicleGuard::new(
-            ev.id,
+            id,
             self.topo.clone(),
             self.scheme.clone(),
             self.config.nwade,
         );
-        let agent = VehicleAgent::new(
-            ev.id,
-            ev.movement,
-            ev.descriptor.clone(),
-            guard,
-            ev.speed,
-            now,
-        );
+        VehicleAgent::new(id, movement, descriptor, guard, speed, self.now)
+    }
+
+    fn spawn(&mut self, ev: SpawnEvent, now: f64) {
+        let agent = self.new_agent(ev.id, ev.movement, ev.descriptor, ev.speed);
         let pos = agent.position(&self.topo);
         self.medium.set_position(NodeId::Vehicle(ev.id.raw()), pos);
+        // Request a plan from the manager.
+        let req = agent.plan_request();
         self.vehicles.insert(ev.id.raw(), agent);
         self.metrics.spawned += 1;
-        // Request a plan from the manager.
-        let req = PlanRequest {
-            id: ev.id,
-            descriptor: ev.descriptor,
-            movement: ev.movement,
-            position_s: 0.0,
-            speed: ev.speed,
-        };
         self.medium.send(
             NodeId::Vehicle(ev.id.raw()),
             Recipient::Unicast(NodeId::Imu),
@@ -1351,54 +868,24 @@ impl Simulation {
                 }
                 n => movements[(handoff.id.raw() % n as u64) as usize].id(),
             };
-            let speed = handoff.speed;
-            let spawn_gap = self.config.limits.stopping_distance(speed) + 30.0;
-            let m = self.topo.movement(movement);
-            let lane_key = (m.from_leg(), m.from_lane());
-            let blocked = self.vehicles.values().any(|v| {
-                if !v.is_active() {
-                    return false;
-                }
-                let vm = self.topo.movement(v.movement);
-                (vm.from_leg(), vm.from_lane()) == lane_key && v.s < spawn_gap
-            });
-            if blocked {
+            if !self.lane_entry_clear(movement, handoff.speed) {
                 self.inbound_handoffs.push_back((entry, handoff, queued_at));
                 continue;
             }
-            let guard = VehicleGuard::new(
-                handoff.id,
-                self.topo.clone(),
-                self.scheme.clone(),
-                self.config.nwade,
-            );
-            let mut agent = VehicleAgent::new(
-                handoff.id,
-                movement,
-                handoff.descriptor.clone(),
-                guard,
-                speed,
-                now,
-            );
+            let mut agent = self.new_agent(handoff.id, movement, handoff.descriptor, handoff.speed);
             agent.role = handoff.role;
             // Ledger standing follows the vehicle: the receiving manager
             // seeds its tally from the departing manager's.
             self.imu
-                .manager
+                .manager_mut()
                 .note_reporter_history(handoff.id, handoff.false_reports);
             let pos = agent.position(&self.topo);
             self.medium
                 .set_position(NodeId::Vehicle(handoff.id.raw()), pos);
+            let req = agent.plan_request();
             self.vehicles.insert(handoff.id.raw(), agent);
             self.metrics.handoffs_in += 1;
             self.handoff_wait.insert(handoff.id.raw(), queued_at);
-            let req = PlanRequest {
-                id: handoff.id,
-                descriptor: handoff.descriptor,
-                movement,
-                position_s: 0.0,
-                speed,
-            };
             self.medium.send(
                 NodeId::Vehicle(handoff.id.raw()),
                 Recipient::Unicast(NodeId::Imu),
@@ -1450,20 +937,20 @@ impl Simulation {
     /// for cross-shard anchoring; it is embedded into the next sealed
     /// block.
     pub fn note_neighbor_tip(&mut self, shard: u32, tip: Digest) {
-        self.imu.manager.note_neighbor_tip(shard, tip);
+        self.imu.manager_mut().note_neighbor_tip(shard, tip);
     }
 
     /// Blocks at or after `from` from the manager's recent-block store
     /// (bounded; the city's anchor audit polls every tick, well inside
     /// the retention window).
     pub fn blocks_from(&self, from: u64) -> Vec<nwade_chain::Block> {
-        self.imu.manager.blocks_from(from)
+        self.imu.manager().blocks_from(from)
     }
 
     /// The manager's false-report tally for `id` — observable so tests
     /// can pin that ledger standing follows a handed-off vehicle.
     pub fn false_report_count(&self, id: VehicleId) -> u32 {
-        self.imu.manager.false_report_count(id)
+        self.imu.manager().false_report_count(id)
     }
 
     /// The configuration this simulation runs under.
@@ -1482,13 +969,7 @@ impl Simulation {
         for v in self.vehicles.values_mut() {
             if v.is_active() && v.mode == DriveMode::Cruise && v.plan.is_none() {
                 if let RetryDecision::Fire(_) = v.plan_retry.poll(now) {
-                    resend.push(PlanRequest {
-                        id: v.id,
-                        descriptor: v.descriptor.clone(),
-                        movement: v.movement,
-                        position_s: v.s,
-                        speed: v.speed,
-                    });
+                    resend.push(v.plan_request());
                 }
             }
         }
@@ -2072,19 +1553,8 @@ impl Simulation {
         self.medium.remove_node(NodeId::Vehicle(id));
         // Ledger standing must be read before the release below (which
         // only frees reservations, but keep the order obviously safe).
-        let standing = self.imu.manager.false_report_count(VehicleId::new(id));
-        self.imu.manager.release_vehicle(VehicleId::new(id));
-        // Buffered release record; durable at the next window barrier.
-        #[cfg(feature = "store")]
-        {
-            let failed = self
-                .persistence
-                .as_mut()
-                .is_some_and(|p| p.release(VehicleId::new(id)).is_err());
-            if failed {
-                self.disable_store("release record");
-            }
-        }
+        let standing = self.imu.manager().false_report_count(VehicleId::new(id));
+        self.imu.release(VehicleId::new(id));
         // A vehicle handed off while still waiting for its first plan
         // here never closes its latency sample.
         self.handoff_wait.remove(&id);
@@ -2121,15 +1591,6 @@ impl Simulation {
         for (a_id, b_id) in pairs {
             let key = (a_id.min(b_id), a_id.max(b_id));
             if self.collided.insert(key) {
-                if std::env::var("NWADE_DEBUG").is_ok() {
-                    let a = &self.vehicles[&key.0];
-                    let b = &self.vehicles[&key.1];
-                    eprintln!(
-                        "[nwade-debug] t={:.1} collision V{}({:?} v={:.1} s={:.0} mv={}) x V{}({:?} v={:.1} s={:.0} mv={})",
-                        self.now, key.0, a.mode, a.speed, a.s, a.movement.index(),
-                        key.1, b.mode, b.speed, b.s, b.movement.index()
-                    );
-                }
                 self.metrics.accidents += 1;
             }
         }
@@ -2209,7 +1670,9 @@ impl Simulation {
     // ----- message plane ----------------------------------------------
 
     fn deliver_messages(&mut self, now: f64) {
-        let im_down = self.im_down(now);
+        // Re-read, not the tick-start value: a promotion earlier this
+        // tick ends the darkness.
+        let im_down = self.imu.is_down(now);
         let due = self.medium.deliver_due(now);
         for delivery in due {
             self.invariants.note_delivery(delivery.to, delivery.at, now);
@@ -2261,6 +1724,19 @@ impl Simulation {
             .collect()
     }
 
+    /// The descriptor the manager publishes with an evacuation alert;
+    /// blank for a vehicle this world never saw.
+    fn descriptor_of(&self, id: VehicleId) -> VehicleDescriptor {
+        self.vehicles.get(&id.raw()).map_or_else(
+            || VehicleDescriptor {
+                brand: String::new(),
+                model: String::new(),
+                color: String::new(),
+            },
+            |v| v.descriptor.clone(),
+        )
+    }
+
     fn imu_receive(&mut self, _from: NodeId, message: NwadeMessage, now: f64) {
         match message {
             NwadeMessage::PlanRequest(req) => {
@@ -2277,27 +1753,11 @@ impl Simulation {
                         self.metrics.adaptive_reports += 1;
                     }
                 }
-                if std::env::var("NWADE_DEBUG").is_ok() {
-                    eprintln!(
-                        "[nwade-debug] t={now:.2} incident report {} -> {} (announced={})",
-                        report.reporter,
-                        report.suspect,
-                        self.announced_evacuating.contains(&report.suspect)
-                    );
-                }
                 if self.announced_evacuating.contains(&report.suspect) {
                     // Publicly announced self-evacuation, not a new
                     // attack: acknowledge so the reporter does not time
                     // out and escalate.
-                    let descriptor = self
-                        .vehicles
-                        .get(&report.suspect.raw())
-                        .map(|v| v.descriptor.clone())
-                        .unwrap_or_else(|| nwade_traffic::VehicleDescriptor {
-                            brand: String::new(),
-                            model: String::new(),
-                            color: String::new(),
-                        });
+                    let descriptor = self.descriptor_of(report.suspect);
                     self.medium.send(
                         NodeId::Imu,
                         Recipient::Unicast(NodeId::Vehicle(report.reporter.raw())),
@@ -2342,7 +1802,7 @@ impl Simulation {
             }
             NwadeMessage::BlockRequest { from_index } => {
                 // §IV-B1: vehicles may fetch blocks from the manager.
-                let blocks = self.imu.manager.blocks_from(from_index);
+                let blocks = self.imu.manager().blocks_from(from_index);
                 if !blocks.is_empty() {
                     if let NodeId::Vehicle(requester) = _from {
                         self.medium.send(
@@ -2364,18 +1824,6 @@ impl Simulation {
         for action in actions {
             match action {
                 ImuAction::Broadcast(block) => {
-                    if std::env::var("NWADE_DEBUG").is_ok() {
-                        eprintln!(
-                            "[nwade-debug] t={now:.2} window block idx={} plans={} ids={:?}",
-                            block.index(),
-                            block.plans().len(),
-                            block
-                                .plans()
-                                .iter()
-                                .map(|p| p.id().raw())
-                                .collect::<Vec<_>>()
-                        );
-                    }
                     self.last_block_index = Some(block.index());
                     self.metrics.blocks_broadcast += 1;
                     self.metrics.block_sizes.push(block.plans().len());
@@ -2385,19 +1833,7 @@ impl Simulation {
                             self.metrics.im_recovery_latency = Some(now - t);
                         }
                     }
-                    // The broadcast marker suppresses re-sending this
-                    // block on recovery; it is buffered (not synced) —
-                    // losing it only costs a harmless duplicate send.
-                    #[cfg(feature = "store")]
-                    {
-                        let failed = self
-                            .persistence
-                            .as_mut()
-                            .is_some_and(|p| p.broadcasted(block.index()).is_err());
-                        if failed {
-                            self.disable_store("broadcast marker");
-                        }
-                    }
+                    self.imu.broadcasted(block.index());
                     self.medium.send(
                         NodeId::Imu,
                         Recipient::Broadcast,
@@ -2413,13 +1849,6 @@ impl Simulation {
                     group,
                     plan,
                 } => {
-                    if std::env::var("NWADE_DEBUG").is_ok() {
-                        eprintln!(
-                            "[nwade-debug] t={now:.2} poll about {suspect}: group={} plan_known={}",
-                            group.len(),
-                            plan.is_some()
-                        );
-                    }
                     for watcher in group {
                         let Some(plan) = plan.clone() else {
                             continue;
@@ -2452,9 +1881,6 @@ impl Simulation {
                     );
                 }
                 ImuAction::Alert { suspect, location } => {
-                    if std::env::var("NWADE_DEBUG").is_ok() {
-                        eprintln!("[nwade-debug] t={now:.2} evacuation alert for {suspect} (violator={:?}, accused={:?})", self.violator, self.accused);
-                    }
                     if Some(suspect) == self.violator && !self.imu.malicious {
                         SimMetrics::note_first(&mut self.metrics.violation_confirmed, now);
                     }
@@ -2470,15 +1896,7 @@ impl Simulation {
                     if Some(suspect) == self.sybil_target && !self.imu.malicious {
                         self.metrics.sybil_false_alerts += 1;
                     }
-                    let descriptor = self
-                        .vehicles
-                        .get(&suspect.raw())
-                        .map(|v| v.descriptor.clone())
-                        .unwrap_or_else(|| nwade_traffic::VehicleDescriptor {
-                            brand: String::new(),
-                            model: String::new(),
-                            color: String::new(),
-                        });
+                    let descriptor = self.descriptor_of(suspect);
                     self.medium.send(
                         NodeId::Imu,
                         Recipient::Broadcast,
@@ -2514,13 +1932,7 @@ impl Simulation {
                     && v.mode != DriveMode::SelfEvacuate
                     && !self.announced_evacuating.contains(&v.id)
             })
-            .map(|v| PlanRequest {
-                id: v.id,
-                descriptor: v.descriptor.clone(),
-                movement: v.movement,
-                position_s: v.s,
-                speed: v.speed,
-            })
+            .map(VehicleAgent::plan_request)
             .collect();
         // Threats: the confirmed suspect plus every announced
         // self-evacuating vehicle (they are publicly off-plan).
@@ -2533,36 +1945,7 @@ impl Simulation {
                 threats.push(obs.position);
             }
         }
-        // Evacuation planning is durable like a window: the inputs are
-        // logged (and synced) before the plan runs, the commit before
-        // the broadcast.
-        #[cfg(feature = "store")]
-        {
-            let failed = self
-                .persistence
-                .as_mut()
-                .is_some_and(|p| p.evac_start(now, &states, &threats).is_err());
-            if failed {
-                self.disable_store("evacuation start");
-            }
-        }
         if let Some(block) = self.imu.evacuation_block(&states, &threats, now) {
-            if std::env::var("NWADE_DEBUG").is_ok() {
-                eprintln!(
-                    "[nwade-debug] t={now:.2} evacuation block idx={} plans={}",
-                    block.index(),
-                    block.plans().len()
-                );
-            }
-            #[cfg(feature = "store")]
-            {
-                let failed = self.persistence.as_mut().is_some_and(|p| {
-                    p.commit_block(&block, true).is_err() || p.broadcasted(block.index()).is_err()
-                });
-                if failed {
-                    self.disable_store("evacuation commit");
-                }
-            }
             self.metrics.blocks_broadcast += 1;
             self.metrics.block_sizes.push(block.plans().len());
             self.medium.send(
@@ -2758,7 +2141,7 @@ impl Simulation {
                             SimMetrics::note_first(&mut self.metrics.wrongful_dissent, now);
                         }
                         GlobalClaim::ConflictingPlans { index }
-                            if Some(index) == self.corrupted_index =>
+                            if Some(index) == self.imu.corrupted_index() =>
                         {
                             SimMetrics::note_first(&mut self.metrics.corrupted_block_detected, now);
                         }
@@ -2816,11 +2199,6 @@ impl Simulation {
                     // The staged alert is ignored; nothing to execute.
                 }
                 GuardAction::SelfEvacuate => {
-                    if std::env::var("NWADE_DEBUG").is_ok() {
-                        eprintln!(
-                            "[nwade-debug] t={now:.2} {id} self-evacuates ({evacuation_claim:?})"
-                        );
-                    }
                     if let Some(agent) = self.vehicles.get_mut(&id.raw()) {
                         if agent.role == Role::Benign {
                             self.metrics.benign_self_evacuations += 1;
@@ -2839,7 +2217,7 @@ impl Simulation {
                                     self.metrics.type_b_evacuations += 1;
                                 }
                                 Some(GlobalClaim::ConflictingPlans { index })
-                                    if Some(index) != self.corrupted_index =>
+                                    if Some(index) != self.imu.corrupted_index() =>
                                 {
                                     self.metrics.honest_block_rejections += 1;
                                 }
@@ -2855,9 +2233,6 @@ impl Simulation {
                     // bookkeeping so the manager stops treating it as
                     // publicly off-plan, and let it request a fresh plan
                     // right away (the pre-outage one is stale).
-                    if std::env::var("NWADE_DEBUG").is_ok() {
-                        eprintln!("[nwade-debug] t={now:.2} {id} re-admitted after IM outage");
-                    }
                     if let Some(agent) = self.vehicles.get_mut(&id.raw()) {
                         agent.readmit(now);
                         if agent.role == Role::Benign {
@@ -2920,67 +2295,9 @@ impl Simulation {
             return;
         }
         if self.config.nwade_enabled {
-            // The window's requests become durable before scheduling: a
-            // crash from here on replays them deterministically.
-            #[cfg(feature = "store")]
-            {
-                let failed = self
-                    .persistence
-                    .as_mut()
-                    .is_some_and(|p| p.window_start(now, &requests).is_err());
-                if failed {
-                    self.disable_store("window start");
-                }
-            }
-            // Track the corrupted block's index for metric attribution.
-            let will_corrupt =
-                self.imu.malicious && self.imu.corrupt_next_block && !self.imu.corruption_emitted;
-            let actions = self.imu.on_window(&requests, now);
-            if will_corrupt && self.imu.corruption_emitted {
-                if let Some(ImuAction::Broadcast(b)) = actions.first() {
-                    self.corrupted_index = Some(b.index());
-                }
-            }
-            #[cfg(feature = "store")]
-            if let Some(plan) = self.due_crash(now) {
-                // The process dies mid-window: the staged actions are
-                // discarded, nothing is broadcast by the dying manager.
-                let staged = actions.into_iter().find_map(|a| match a {
-                    ImuAction::Broadcast(b) => Some(b),
-                    _ => None,
-                });
-                self.crash_im(plan, staged, now);
-                return;
-            }
-            // WAL rule: the commit record is durable before publication.
-            #[cfg(feature = "store")]
-            {
-                let mut failed = false;
-                for action in &actions {
-                    if let ImuAction::Broadcast(block) = action {
-                        failed |= self
-                            .persistence
-                            .as_mut()
-                            .is_some_and(|p| p.commit_block(block, true).is_err());
-                    }
-                }
-                if failed {
-                    self.disable_store("block commit");
-                }
-            }
+            let actions = self.imu.window(&requests, now, &mut self.metrics);
             self.handle_imu_actions(actions, now);
-            #[cfg(feature = "store")]
-            {
-                let failed = matches!(
-                    self.persistence
-                        .as_mut()
-                        .map(|p| p.window_end(&self.imu.manager)),
-                    Some(Err(_))
-                );
-                if failed {
-                    self.disable_store("snapshot");
-                }
-            }
+            self.imu.window_end();
         } else {
             // Baseline without NWADE: plans are unicast, no blockchain.
             let actions = self.imu.on_window(&requests, now);
@@ -3018,8 +2335,9 @@ impl Simulation {
             .is_none_or(|v| !v.is_active() || v.speed < 0.1);
         if gone {
             self.threat_cleared = true;
-            self.imu.manager.on_threat_cleared();
-            self.imu.manager.on_recovery_complete();
+            let manager = self.imu.manager_mut();
+            manager.on_threat_cleared();
+            manager.on_recovery_complete();
             // Post-evacuation recovery (§IV-B5): vehicles parked by
             // evacuation plans are rescheduled at normal speed in the
             // following windows.
@@ -3033,13 +2351,7 @@ impl Simulation {
                         .as_ref()
                         .is_some_and(|p| p.exit_time(&self.topo).is_none());
                 if needs_replan {
-                    requests.push(PlanRequest {
-                        id: v.id,
-                        descriptor: v.descriptor.clone(),
-                        movement: v.movement,
-                        position_s: v.s,
-                        speed: v.speed,
-                    });
+                    requests.push(v.plan_request());
                 }
             }
             for req in requests {

@@ -90,7 +90,6 @@ fn im_outage_evacuation_and_recovery() {
 /// tail, replay the window, rebroadcast the re-created block in the
 /// same tick — so nobody ever notices the manager died: no timeout
 /// self-evacuations, no readmissions, traffic keeps flowing.
-#[cfg(feature = "store")]
 #[test]
 fn im_crash_recovers_warm_without_evacuation() {
     use nwade_repro::nwade::CrashPoint;

@@ -3,8 +3,6 @@
 //! observationally identical to a run that never crashed — same blocks,
 //! same schedule, same chain tip, zero evacuations.
 
-#![cfg(feature = "store")]
-
 use nwade_repro::nwade::CrashPoint;
 use nwade_repro::sim::{CrashPlan, SimConfig, Simulation};
 

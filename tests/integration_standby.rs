@@ -4,8 +4,6 @@
 //! zombie ex-primary that wakes up after the promotion must be fenced
 //! off: its late-sealed block rejected and counted, never committed.
 
-#![cfg(feature = "store")]
-
 use nwade_repro::nwade::CrashPoint;
 use nwade_repro::sim::{CrashPlan, SimConfig, Simulation};
 
