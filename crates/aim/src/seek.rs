@@ -28,7 +28,7 @@
 //! searches land on the same grid point — and the grid itself is built
 //! by the same accumulated `target += step` floats the linear loop
 //! produces. The linear loop survives as the test oracle
-//! [`EntrySeeker::linear`], and a proptest over random tables and
+//! `EntrySeeker::linear`, and a proptest over random tables and
 //! request kinematics pins the two equal.
 
 use crate::reservation::{occupancy_into, Occupancy, ReservationTable};

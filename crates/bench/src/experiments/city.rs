@@ -192,7 +192,7 @@ pub struct FlowProbe {
     pub anchor_mismatches: usize,
 }
 
-/// Runs the flow probe: a [`PROBE_SHARDS`]-shard ring under normal
+/// Runs the flow probe: a `PROBE_SHARDS`-shard ring under normal
 /// arrival demand, long enough for vehicles to cross shard boundaries.
 /// The city is bit-reproducible, so the counts are exact — the guard
 /// compares them for equality, not within a tolerance.

@@ -321,7 +321,7 @@ impl VehicleGuard {
     ///   faulty channel it is far more likely a bit-flipped copy. The
     ///   guard discards it, re-requests the index, and only takes
     ///   Algorithm 1's reject path (self-evacuation) after
-    ///   [`MAX_CRYPTO_FAILURES`] failures of the *same* index. Validly
+    ///   `MAX_CRYPTO_FAILURES` failures of the *same* index. Validly
     ///   signed blocks with conflicting plans are proof of manager
     ///   misbehaviour — no channel produces a valid signature over
     ///   corrupted plans — and still reject immediately.

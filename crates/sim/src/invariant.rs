@@ -66,7 +66,7 @@ const KEPT_VIOLATIONS: usize = 64;
 /// The structured outcome of a run's invariant checking.
 #[derive(Debug, Clone, Default)]
 pub struct InvariantReport {
-    /// The first [`KEPT_VIOLATIONS`] violations, in detection order.
+    /// The first `KEPT_VIOLATIONS` violations, in detection order.
     pub violations: Vec<InvariantViolation>,
     /// Total count per kind (including dropped ones).
     pub counts: HashMap<InvariantKind, usize>,
