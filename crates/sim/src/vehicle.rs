@@ -181,6 +181,18 @@ impl VehicleAgent {
         self.braked_this_tick = true;
     }
 
+    /// Marks the vehicle exited once it has reached the end of its path.
+    /// Returns `true` on the tick it does.
+    pub(crate) fn reach_path_end(&mut self, topology: &Topology, now: f64) -> bool {
+        let path_len = topology.movement(self.movement).path().length();
+        if self.s >= path_len && self.exited_at.is_none() {
+            self.exited_at = Some(now);
+            true
+        } else {
+            false
+        }
+    }
+
     /// Advances physics by `dt`. Returns `true` if the vehicle crossed
     /// the end of its path this tick.
     pub fn step(
@@ -190,7 +202,6 @@ impl VehicleAgent {
         dt: f64,
         now: f64,
     ) -> bool {
-        let path_len = topology.movement(self.movement).path().length();
         match self.mode {
             DriveMode::Cruise => {
                 self.s += self.speed * dt;
@@ -250,12 +261,7 @@ impl VehicleAgent {
                 self.s += self.speed * dt;
             }
         }
-        if self.s >= path_len && self.exited_at.is_none() {
-            self.exited_at = Some(now);
-            true
-        } else {
-            false
-        }
+        self.reach_path_end(topology, now)
     }
 }
 

@@ -1488,7 +1488,7 @@ impl Simulation {
             .map(|agent| {
                 if agent.braked_this_tick {
                     agent.braked_this_tick = false;
-                    let crossed = agent.s >= topo.movement(agent.movement).path().length();
+                    let crossed = agent.reach_path_end(topo, now);
                     (agent.id.raw(), crossed, None)
                 } else if agent.step(topo, &limits, dt, now) {
                     (agent.id.raw(), true, None)

@@ -7,9 +7,10 @@
 //! and the handoff books themselves balance. A handed-off false
 //! reporter's ledger standing follows it into the receiving manager.
 
+use nwade::attack::{AttackSetting, ViolationKind};
 use nwade_intersection::LegId;
 use nwade_sim::vehicle::Role;
-use nwade_sim::{CityConfig, CityGrid, Handoff, SimConfig, Simulation};
+use nwade_sim::{AttackPlan, CityConfig, CityGrid, Handoff, InvariantKind, SimConfig, Simulation};
 use nwade_traffic::{VehicleDescriptor, VehicleId};
 use proptest::prelude::*;
 
@@ -116,4 +117,36 @@ fn ledger_standing_follows_handoff() {
         0,
         "other vehicles are unaffected"
     );
+}
+
+/// A vehicle that reaches its path end while emergency-braking leaves
+/// exactly once. On this seed a V3 sudden stop makes vehicles brake
+/// across their path end; finalizing one of them twice would count a
+/// second exit or handoff and reset its guard while it is still live.
+#[test]
+fn braked_exit_is_finalized_once() {
+    let mut base = SimConfig::default();
+    base.duration = 60.0;
+    base.seed = 5;
+    base.attack = Some(AttackPlan {
+        setting: AttackSetting::V3,
+        violation: ViolationKind::SuddenStop,
+        start: 20.0,
+    });
+    let ticks = (base.duration / base.dt).ceil() as u64;
+    let mut city = CityGrid::new(CityConfig::ring(4, base));
+    for _ in 0..ticks {
+        city.tick();
+    }
+    city.check_conservation().expect("vehicles conserved");
+    let fsm: usize = city
+        .shards()
+        .iter()
+        .filter_map(|s| {
+            s.invariants_so_far()
+                .counts
+                .get(&InvariantKind::FsmConsistency)
+        })
+        .sum();
+    assert_eq!(fsm, 0, "no FSM-consistency violations");
 }
