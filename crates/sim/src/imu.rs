@@ -146,16 +146,16 @@ pub enum ImuAction {
 
 /// What [`ImuAgent::begin_tick`] hands the world.
 #[derive(Debug)]
-pub struct TickStart {
+pub(crate) struct TickStart {
     /// The manager was up when the tick began; this gates the tick's
     /// processing window even if a promotion ends the darkness mid-tick.
-    pub up: bool,
+    pub(crate) up: bool,
     /// Blocks a warm restart or a standby promotion owes the fleet, in
     /// chain order.
-    pub recovered: Vec<ImuAction>,
+    pub(crate) recovered: Vec<ImuAction>,
     /// The zombie primary's stale-epoch block. Every send draws from the
     /// RNG, so it goes on the air after `recovered`.
-    pub zombie: Option<Block>,
+    pub(crate) zombie: Option<Block>,
 }
 
 /// Builds the manager + scheduler stack from the config (at construction,
@@ -249,7 +249,7 @@ impl ImuAgent {
     }
 
     /// The protocol engine.
-    pub fn manager(&self) -> &NwadeManager {
+    pub(crate) fn manager(&self) -> &NwadeManager {
         &self.manager
     }
 
@@ -261,13 +261,13 @@ impl ImuAgent {
 
     /// Index of the corrupted block, once the compromised manager emitted
     /// it.
-    pub fn corrupted_index(&self) -> Option<u64> {
+    pub(crate) fn corrupted_index(&self) -> Option<u64> {
         self.corrupted_index
     }
 
     /// `true` while the manager is inside a scheduled outage or a cold
     /// crash's downtime.
-    pub fn is_down(&self, now: f64) -> bool {
+    pub(crate) fn is_down(&self, now: f64) -> bool {
         self.config.im_outage.is_some_and(|o| o.covers(now))
             || self.forced_outage.is_some_and(|o| o.covers(now))
     }
@@ -277,7 +277,7 @@ impl ImuAgent {
     /// up, promotion once it has missed the bound), and fires a due
     /// zombie with the plan requests `fleet` returns for the active
     /// vehicles.
-    pub fn begin_tick(
+    pub(crate) fn begin_tick(
         &mut self,
         now: f64,
         metrics: &mut SimMetrics,
@@ -315,7 +315,7 @@ impl ImuAgent {
     /// process dies mid-window instead: the blocks a same-tick warm
     /// recovery owes the fleet are returned (none on the cold path), and
     /// the window never ends.
-    pub fn window(
+    pub(crate) fn window(
         &mut self,
         requests: &[PlanRequest],
         now: f64,
@@ -342,7 +342,7 @@ impl ImuAgent {
     /// Ends the window [`ImuAgent::window`] sealed, once its blocks are
     /// on the air: every `snapshot_every`-th window appends a snapshot.
     /// A window the crash killed has nothing to end.
-    pub fn window_end(&mut self) {
+    pub(crate) fn window_end(&mut self) {
         if std::mem::take(&mut self.window_open) {
             self.log("snapshot", |p, manager| p.window_end(manager));
         }
@@ -351,13 +351,13 @@ impl ImuAgent {
     /// Logs that a block went on the air. The marker suppresses
     /// re-sending the block on recovery; it is buffered, not synced —
     /// losing it only costs a harmless duplicate send.
-    pub fn broadcasted(&mut self, index: u64) {
+    pub(crate) fn broadcasted(&mut self, index: u64) {
         self.log("broadcast marker", |p, _| p.broadcasted(index));
     }
 
     /// A vehicle left the area: frees its reservations and logs the
     /// release (buffered; durable at the next window barrier).
-    pub fn release(&mut self, vehicle: VehicleId) {
+    pub(crate) fn release(&mut self, vehicle: VehicleId) {
         self.manager.release_vehicle(vehicle);
         self.log("release record", |p, _| p.release(vehicle));
     }
