@@ -100,33 +100,6 @@ impl ChainCache {
         Ok(())
     }
 
-    /// Batch-verifies the signatures of `blocks` in one
-    /// [`SignatureScheme::verify_batch`] call and memoizes the accepted
-    /// ones, so a subsequent per-block
-    /// [`ChainCache::verify_block_cached`] walk (history back-fill, §IV-B1)
-    /// spends no further public-key operations on them. Already-memoized
-    /// and failing signatures are left alone — failures surface
-    /// block-by-block with their precise [`BlockError`] during the walk.
-    pub fn prime_signatures_batch(&mut self, blocks: &[Block], verifier: &dyn SignatureScheme) {
-        let fresh: Vec<(Digest, &[u8])> = blocks
-            .iter()
-            .map(|b| (b.own_signing_digest(), b.signature()))
-            .filter(|(digest, sig)| self.verified.get(digest).is_none_or(|known| known != sig))
-            .collect();
-        if fresh.is_empty() {
-            return;
-        }
-        let verdicts = verifier.verify_batch(&fresh);
-        for ((digest, sig), ok) in fresh.into_iter().zip(verdicts) {
-            if ok {
-                if self.verified.len() >= VERIFIED_SIGNATURES_BOUND {
-                    self.verified.clear();
-                }
-                self.verified.insert(digest, sig.to_vec());
-            }
-        }
-    }
-
     /// The capacity τ/δ.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -337,7 +310,6 @@ mod tests {
     struct CountingScheme {
         inner: MockScheme,
         verifies: AtomicU64,
-        batches: AtomicU64,
     }
 
     impl CountingScheme {
@@ -345,16 +317,11 @@ mod tests {
             CountingScheme {
                 inner: MockScheme::from_seed(seed),
                 verifies: AtomicU64::new(0),
-                batches: AtomicU64::new(0),
             }
         }
 
         fn verify_count(&self) -> u64 {
             self.verifies.load(Ordering::SeqCst)
-        }
-
-        fn batch_count(&self) -> u64 {
-            self.batches.load(Ordering::SeqCst)
         }
     }
 
@@ -366,11 +333,6 @@ mod tests {
         fn verify(&self, digest: &Digest, signature: &[u8]) -> bool {
             self.verifies.fetch_add(1, Ordering::SeqCst);
             self.inner.verify(digest, signature)
-        }
-
-        fn verify_batch(&self, items: &[(Digest, &[u8])]) -> Vec<bool> {
-            self.batches.fetch_add(1, Ordering::SeqCst);
-            items.iter().map(|(d, s)| self.inner.verify(d, s)).collect()
         }
 
         fn name(&self) -> &'static str {
@@ -548,51 +510,6 @@ mod tests {
             .verify_block_cached(&b, scheme.as_ref())
             .expect("verifies again");
         assert_eq!(scheme.verify_count(), 2, "clear drops the memo");
-    }
-
-    #[test]
-    fn primed_backfill_spends_no_single_verifies() {
-        let scheme = Arc::new(CountingScheme::new(10));
-        let mut p = BlockPackager::new(scheme.clone());
-        let bs: Vec<Block> = (0..4)
-            .map(|i| p.package(crate::block::tests::plans(2), i as f64))
-            .collect();
-        let mut cache = ChainCache::new(8);
-        cache.prime_signatures_batch(&bs, scheme.as_ref());
-        assert_eq!(scheme.batch_count(), 1, "one batch call for the range");
-        assert_eq!(scheme.verify_count(), 0);
-        for b in &bs {
-            cache
-                .verify_block_cached(b, scheme.as_ref())
-                .expect("primed block verifies");
-        }
-        assert_eq!(
-            scheme.verify_count(),
-            0,
-            "the walk runs entirely off the primed memo"
-        );
-        // Re-priming the same range is a no-op: nothing fresh to verify.
-        cache.prime_signatures_batch(&bs, scheme.as_ref());
-        assert_eq!(scheme.batch_count(), 1);
-    }
-
-    #[test]
-    fn priming_never_memoizes_a_forged_signature() {
-        let scheme = Arc::new(CountingScheme::new(11));
-        let mut p = BlockPackager::new(scheme.clone());
-        let good = p.package(crate::block::tests::plans(2), 0.0);
-        let forged = tamper::forge_signature(&p.package(crate::block::tests::plans(2), 1.0));
-        let mut cache = ChainCache::new(8);
-        cache.prime_signatures_batch(&[good.clone(), forged.clone()], scheme.as_ref());
-        cache
-            .verify_block_cached(&good, scheme.as_ref())
-            .expect("good block primed");
-        assert_eq!(
-            cache.verify_block_cached(&forged, scheme.as_ref()),
-            Err(BlockError::BadSignature),
-            "forged block still rejected after priming"
-        );
-        assert_eq!(scheme.verify_count(), 1, "only the forgery re-verified");
     }
 
     #[test]

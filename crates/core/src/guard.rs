@@ -494,25 +494,9 @@ impl VehicleGuard {
                 actions.extend(self.on_block(block, now));
             }
         }
-        // Back-fill: walk backwards from the earliest cached block. The
-        // signatures of the whole served range are batch-verified up
-        // front (one amortized pass under the manager's key); the walk
-        // then runs off the primed memo, re-checking only linkage and
-        // Merkle roots per block.
-        let backfill: Vec<Block> = sorted
-            .iter()
-            .filter(|b| {
-                self.cache
-                    .iter()
-                    .next()
-                    .is_some_and(|earliest| b.index() < earliest.index())
-            })
-            .map(|b| (*b).clone())
-            .collect();
-        if !backfill.is_empty() {
-            self.cache
-                .prime_signatures_batch(&backfill, self.verifier.as_ref());
-        }
+        // Back-fill: walk backwards from the earliest cached block,
+        // verifying each block's signature on its own before the hash
+        // link admits it.
         for block in sorted.iter().rev() {
             let fits = self
                 .cache

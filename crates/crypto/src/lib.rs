@@ -15,9 +15,7 @@
 //! * [`merkle`] — the hash tree whose root `R_i` anchors each block's
 //!   travel plans (Eq. 1), with inclusion proofs,
 //! * [`signature`] — a scheme abstraction so simulations can swap the real
-//!   RSA signer for a cheap mock when crypto cost is not under test,
-//! * [`batch`] — amortized same-key RSA batch verification (product test
-//!   with a split-on-failure culprit search).
+//!   RSA signer for a cheap mock when crypto cost is not under test.
 //!
 //! This code is written for clarity and testability, **not** for
 //! production security use: it is not constant-time and has seen no
@@ -26,7 +24,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod bigint;
 pub mod merkle;
 pub mod modular;
@@ -35,7 +32,6 @@ pub mod rsa;
 pub mod sha256;
 pub mod signature;
 
-pub use batch::BatchVerifier;
 pub use bigint::BigUint;
 pub use merkle::{MerkleProof, MerkleTree};
 pub use rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};

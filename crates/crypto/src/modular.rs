@@ -98,14 +98,6 @@ fn signed_sub(a: &(BigUint, bool), b: &(BigUint, bool)) -> (BigUint, bool) {
     }
 }
 
-/// A residue held in Montgomery form (`x·R mod n`) for one
-/// [`Montgomery`] context. Opaque: produced by [`Montgomery::enter`] /
-/// [`Montgomery::one`], combined with [`Montgomery::mul`] /
-/// [`Montgomery::pow`], and read back with [`Montgomery::exit`].
-/// Elements are only meaningful within the context that created them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MontElem(Vec<u32>);
-
 /// Montgomery multiplication context for a fixed odd modulus.
 ///
 /// Exponentiation through this context avoids per-step division, which is
@@ -202,52 +194,6 @@ impl Montgomery {
         let mut limbs = reduced.limbs().to_vec();
         limbs.resize(l, 0);
         limbs
-    }
-
-    /// Converts `x` into Montgomery form (`x·R mod n`), reducing first.
-    pub fn enter(&self, x: &BigUint) -> MontElem {
-        let l = self.n.len();
-        let mut limbs = x.rem(&self.modulus).limbs().to_vec();
-        limbs.resize(l, 0);
-        let mut r2 = self.r2.limbs().to_vec();
-        r2.resize(l, 0);
-        MontElem(self.mont_mul(&limbs, &r2))
-    }
-
-    /// Converts a Montgomery-form element back to an ordinary residue.
-    pub fn exit(&self, x: &MontElem) -> BigUint {
-        let mut one = vec![0u32; self.n.len()];
-        one[0] = 1;
-        BigUint::from_limbs(self.mont_mul(&x.0, &one))
-    }
-
-    /// The multiplicative identity in Montgomery form (`R mod n`).
-    pub fn one(&self) -> MontElem {
-        let l = self.n.len();
-        let mut one = vec![0u32; l];
-        one[0] = 1;
-        let mut r2 = self.r2.limbs().to_vec();
-        r2.resize(l, 0);
-        MontElem(self.mont_mul(&one, &r2))
-    }
-
-    /// Montgomery product of two elements already in Montgomery form —
-    /// the amortized unit of work batch verification counts in: one call
-    /// is one CIOS pass, versus ~`e.bit_len()` of them per full modexp.
-    pub fn mul(&self, a: &MontElem, b: &MontElem) -> MontElem {
-        MontElem(self.mont_mul(&a.0, &b.0))
-    }
-
-    /// `base^exp` with base and result in Montgomery form.
-    pub fn pow(&self, base: &MontElem, exp: &BigUint) -> MontElem {
-        let mut acc = self.one();
-        for i in (0..exp.bit_len()).rev() {
-            acc = self.mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mul(&acc, base);
-            }
-        }
-        acc
     }
 
     /// `base^exp mod n` via left-to-right binary exponentiation in
@@ -359,24 +305,6 @@ mod tests {
             let x = inv_limb(v);
             assert_eq!(v.wrapping_mul(x.wrapping_neg()), 1, "v={v:#x}");
         }
-    }
-
-    #[test]
-    fn mont_elem_round_trip_and_products() {
-        let m = BigUint::from_decimal("170141183460469231731687303715884105727");
-        let ctx = Montgomery::new(&m);
-        let a = BigUint::from_decimal("123456789012345678901234567890");
-        let b = BigUint::from_decimal("98765432109876543210");
-        // enter/exit round-trips.
-        assert_eq!(ctx.exit(&ctx.enter(&a)), a.rem(&m));
-        // mul matches plain multiplication mod m.
-        let prod = ctx.exit(&ctx.mul(&ctx.enter(&a), &ctx.enter(&b)));
-        assert_eq!(prod, (&a * &b).rem(&m));
-        // one is the identity.
-        assert_eq!(ctx.exit(&ctx.mul(&ctx.enter(&a), &ctx.one())), a.rem(&m));
-        // pow in Montgomery form matches modpow.
-        let e = BigUint::from_u64(65_537);
-        assert_eq!(ctx.exit(&ctx.pow(&ctx.enter(&a), &e)), ctx.modpow(&a, &e));
     }
 
     #[test]

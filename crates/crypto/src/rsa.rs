@@ -86,35 +86,6 @@ impl RsaPublicKey {
         self.verify_digest(&sha256(message), signature)
     }
 
-    /// The modulus `n`.
-    pub(crate) fn modulus(&self) -> &BigUint {
-        &self.n
-    }
-
-    /// The public exponent `e`.
-    pub(crate) fn exponent(&self) -> &BigUint {
-        &self.e
-    }
-
-    /// The shared Montgomery context for `n`, building it on first use.
-    /// `None` for hand-built even-modulus test keys, which Montgomery
-    /// arithmetic cannot serve.
-    pub(crate) fn montgomery(&self) -> Option<&Montgomery> {
-        if self.n.is_even() {
-            None
-        } else {
-            Some(self.ctx.get_or_init(|| Montgomery::new(&self.n)))
-        }
-    }
-
-    /// Verifies a batch of `(digest, signature)` pairs under this key at
-    /// once. Verdicts are exactly those of per-item
-    /// [`RsaPublicKey::verify_digest`]; see [`crate::batch`] for the
-    /// amortization and failure-handling strategy.
-    pub fn verify_digest_batch(&self, items: &[(Digest, &[u8])]) -> Vec<bool> {
-        crate::batch::verify_batch(self, items)
-    }
-
     /// Verifies a signature over a precomputed digest.
     pub fn verify_digest(&self, digest: &Digest, signature: &RsaSignature) -> bool {
         if signature.0.len() != self.modulus_len() {
@@ -254,7 +225,7 @@ impl RsaKeyPair {
 /// # Panics
 ///
 /// Panics if `k` is too small to hold the padding and digest (k < 62).
-pub(crate) fn encode_em(digest: &Digest, k: usize) -> Vec<u8> {
+fn encode_em(digest: &Digest, k: usize) -> Vec<u8> {
     let t_len = SHA256_PREFIX.len() + 32;
     assert!(k >= t_len + 11, "modulus too small for PKCS#1 v1.5 SHA-256");
     let mut em = Vec::with_capacity(k);

@@ -19,17 +19,6 @@ pub trait SignatureScheme: Send + Sync {
     /// Verifies signature bytes over a digest.
     fn verify(&self, digest: &Digest, signature: &[u8]) -> bool;
 
-    /// Verifies many `(digest, signature)` pairs at once, returning one
-    /// verdict per item in input order. Verdicts must be exactly those of
-    /// per-item [`SignatureScheme::verify`]; schemes with an amortizable
-    /// structure (same-key RSA) override the default per-item loop.
-    fn verify_batch(&self, items: &[(Digest, &[u8])]) -> Vec<bool> {
-        items
-            .iter()
-            .map(|(digest, sig)| self.verify(digest, sig))
-            .collect()
-    }
-
     /// Human-readable scheme name for reports.
     fn name(&self) -> &'static str;
 }
@@ -61,10 +50,6 @@ impl SignatureScheme for RsaScheme {
         self.key
             .public_key()
             .verify_digest(digest, &RsaSignature::from_bytes(signature.to_vec()))
-    }
-
-    fn verify_batch(&self, items: &[(Digest, &[u8])]) -> Vec<bool> {
-        self.key.public_key().verify_digest_batch(items)
     }
 
     fn name(&self) -> &'static str {
@@ -199,47 +184,6 @@ impl<S: SignatureScheme> SignatureScheme for CachingVerifier<S> {
         }
         s.map.insert(key, verdict);
         verdict
-    }
-
-    /// Resolves memoized pairs from the cache, forwards the rest to the
-    /// wrapped scheme's batch path in one call, and memoizes the fresh
-    /// verdicts (caching negatives is sound here for the same reason as
-    /// in [`CachingVerifier::verify`]: verification of a fixed pair is
-    /// deterministic).
-    fn verify_batch(&self, items: &[(Digest, &[u8])]) -> Vec<bool> {
-        let mut verdicts = vec![false; items.len()];
-        let mut miss_slots = Vec::new();
-        let mut misses: Vec<(Digest, &[u8])> = Vec::new();
-        {
-            let mut s = self.state.lock().expect("verifier cache lock");
-            for (i, (digest, sig)) in items.iter().enumerate() {
-                match s.map.get(&(*digest, sig.to_vec())) {
-                    Some(&verdict) => {
-                        s.hits += 1;
-                        verdicts[i] = verdict;
-                    }
-                    None => {
-                        miss_slots.push(i);
-                        misses.push((*digest, sig));
-                    }
-                }
-            }
-        }
-        if misses.is_empty() {
-            return verdicts;
-        }
-        // Batch-verify outside the lock, mirroring `verify`.
-        let fresh = self.inner.verify_batch(&misses);
-        let mut s = self.state.lock().expect("verifier cache lock");
-        for ((slot, ok), (digest, sig)) in miss_slots.iter().zip(&fresh).zip(&misses) {
-            verdicts[*slot] = *ok;
-            s.misses += 1;
-            if s.map.len() >= self.capacity {
-                s.map.clear();
-            }
-            s.map.insert((*digest, sig.to_vec()), *ok);
-        }
-        verdicts
     }
 
     fn name(&self) -> &'static str {
