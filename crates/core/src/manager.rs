@@ -60,7 +60,6 @@ struct PendingVerification {
     verification: ReportVerification,
     request_id: u64,
     evidence_location: Vec2,
-    descriptor: VehicleDescriptor,
     /// Everyone who reported this suspect while verification ran; they
     /// all receive the outcome (otherwise they time out and escalate).
     reporters: Vec<VehicleId>,
@@ -341,11 +340,7 @@ impl NwadeManager {
             // not wait for a response that never comes.
             return vec![ManagerAction::EvacuationAlert {
                 suspect: report.suspect,
-                descriptor: VehicleDescriptor {
-                    brand: String::new(),
-                    model: String::new(),
-                    color: String::new(),
-                },
+                descriptor: VehicleDescriptor::default(),
                 location: report.evidence.position,
             }];
         }
@@ -379,11 +374,6 @@ impl NwadeManager {
                 verification,
                 request_id,
                 evidence_location: report.evidence.position,
-                descriptor: VehicleDescriptor {
-                    brand: String::new(),
-                    model: String::new(),
-                    color: String::new(),
-                },
                 reporters: vec![report.reporter],
             },
         );
@@ -396,30 +386,17 @@ impl NwadeManager {
         }]
     }
 
-    /// Attaches the suspect's descriptor (from its plan) so evacuation
-    /// alerts carry identifiable features.
-    pub fn note_suspect_descriptor(&mut self, suspect: VehicleId, descriptor: VehicleDescriptor) {
-        if let Some(p) = self.pending.get_mut(&suspect) {
-            p.descriptor = descriptor;
-        }
-    }
-
     fn confirm(&mut self, suspect: VehicleId, location: Vec2) -> Vec<ManagerAction> {
         self.step_fsm(ImEvent::ThreatConfirmed);
         self.confirmed.push(suspect);
-        let pending_descriptor = self.pending.remove(&suspect).map(|p| p.descriptor);
+        self.pending.remove(&suspect);
         // The alert carries the suspect's identifiable features (§IV-B5);
         // its published plan is the authoritative source.
         let descriptor = self
             .published
             .get(&suspect)
             .map(|p| p.descriptor().clone())
-            .or(pending_descriptor)
-            .unwrap_or(VehicleDescriptor {
-                brand: String::new(),
-                model: String::new(),
-                color: String::new(),
-            });
+            .unwrap_or_default();
         vec![ManagerAction::EvacuationAlert {
             suspect,
             descriptor,

@@ -191,6 +191,7 @@ mod tests {
             class::DISMISSAL,
             class::EVACUATION_ALERT,
             class::GLOBAL_REPORT,
+            class::PLAN_ASSIGNMENT,
         ];
         let set: std::collections::HashSet<_> = classes.iter().collect();
         assert_eq!(set.len(), classes.len());

@@ -36,7 +36,7 @@ use nwade_crypto::SignatureScheme;
 use nwade_geometry::Vec2;
 use nwade_intersection::Topology;
 use nwade_store::{MemBackend, StoreError, Wal};
-use nwade_traffic::VehicleId;
+use nwade_traffic::{VehicleDescriptor, VehicleId};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -112,38 +112,6 @@ impl Clone for Durable {
     }
 }
 
-/// What the IMU host should do after handling an event.
-#[derive(Debug, Clone)]
-pub enum ImuAction {
-    /// Broadcast a block.
-    Broadcast(Block),
-    /// Poll watchers (honest path).
-    Poll {
-        /// Correlation id.
-        request_id: u64,
-        /// The accused vehicle.
-        suspect: VehicleId,
-        /// The watchers.
-        group: Vec<VehicleId>,
-        /// The suspect's published plan.
-        plan: Option<Box<nwade_aim::TravelPlan>>,
-    },
-    /// Dismiss a report.
-    Dismiss {
-        /// Reporting vehicle.
-        reporter: VehicleId,
-        /// Cleared suspect.
-        suspect: VehicleId,
-    },
-    /// Broadcast an evacuation alert.
-    Alert {
-        /// Confirmed suspect.
-        suspect: VehicleId,
-        /// Its last known position.
-        location: Vec2,
-    },
-}
-
 /// What [`ImuAgent::begin_tick`] hands the world.
 #[derive(Debug)]
 pub(crate) struct TickStart {
@@ -152,7 +120,7 @@ pub(crate) struct TickStart {
     pub(crate) up: bool,
     /// Blocks a warm restart or a standby promotion owes the fleet, in
     /// chain order.
-    pub(crate) recovered: Vec<ImuAction>,
+    pub(crate) recovered: Vec<ManagerAction>,
     /// The zombie primary's stale-epoch block. Every send draws from the
     /// RNG, so it goes on the air after `recovered`.
     pub(crate) zombie: Option<Block>,
@@ -320,18 +288,18 @@ impl ImuAgent {
         requests: &[PlanRequest],
         now: f64,
         metrics: &mut SimMetrics,
-    ) -> Vec<ImuAction> {
+    ) -> Vec<ManagerAction> {
         self.log("window start", |p, _| p.window_start(now, requests));
         let actions = self.on_window(requests, now);
         if let Some(plan) = self.due_crash(now) {
             let staged = actions.into_iter().find_map(|a| match a {
-                ImuAction::Broadcast(b) => Some(b),
+                ManagerAction::BroadcastBlock(b) => Some(b),
                 _ => None,
             });
             return self.crash(plan, staged, now, metrics);
         }
         for action in &actions {
-            if let ImuAction::Broadcast(block) = action {
+            if let ManagerAction::BroadcastBlock(block) = action {
                 self.log("block commit", |p, _| p.commit_block(block, true));
             }
         }
@@ -416,7 +384,7 @@ impl ImuAgent {
     /// next fresh block they can verify against their cached chain
     /// arrives — no special resync message exists, exactly as in the
     /// paper's model where the chain is the only shared state.
-    fn restart(&mut self, metrics: &mut SimMetrics) -> Vec<ImuAction> {
+    fn restart(&mut self, metrics: &mut SimMetrics) -> Vec<ManagerAction> {
         if self.forced_outage.take().is_some() {
             self.manager.restart();
             return Vec::new();
@@ -437,7 +405,7 @@ impl ImuAgent {
     /// unbroadcast blocks are returned; on failure (`Cold` or a device
     /// error) the live manager is left untouched and persistence stays
     /// off.
-    fn warm_swap(&mut self, metrics: &mut SimMetrics) -> Option<Vec<ImuAction>> {
+    fn warm_swap(&mut self, metrics: &mut SimMetrics) -> Option<Vec<ManagerAction>> {
         self.durable.persistence = None;
         let mut fresh = build_manager(&self.config, &self.topology, &self.signer);
         let Ok((persistence, RecoveryOutcome::Warm(warm))) = ImPersistence::attach(
@@ -450,14 +418,14 @@ impl ImuAgent {
         self.manager = fresh;
         self.durable.persistence = Some(persistence);
         metrics.wal_truncated_bytes += warm.truncated_bytes;
-        Some(warm.actions.into_iter().map(Self::convert).collect())
+        Some(warm.actions)
     }
 
     /// The miss bound tripped: the standby takes over as primary, ending
     /// the darkness at once. When promotion is refused (a diverged
     /// replica, a device error) the standby is dropped and the crash
     /// resolves through the cold downtime after all.
-    fn promote(&mut self, now: f64, metrics: &mut SimMetrics) -> Vec<ImuAction> {
+    fn promote(&mut self, now: f64, metrics: &mut SimMetrics) -> Vec<ManagerAction> {
         let Some(standby) = self.durable.standby.take() else {
             return Vec::new();
         };
@@ -478,7 +446,7 @@ impl ImuAgent {
         if let Some(t) = metrics.im_crash_time {
             metrics.standby_promotion_latency = Some(now - t);
         }
-        promoted.actions.into_iter().map(Self::convert).collect()
+        promoted.actions
     }
 
     /// Fires the scheduled zombie: the ex-primary seals one more block
@@ -517,7 +485,7 @@ impl ImuAgent {
         staged: Option<Block>,
         now: f64,
         metrics: &mut SimMetrics,
-    ) -> Vec<ImuAction> {
+    ) -> Vec<ManagerAction> {
         self.crash_fired = true;
         metrics.im_crashes += 1;
         metrics.im_crash_time = Some(now);
@@ -589,39 +557,16 @@ impl ImuAgent {
         self.was_down = true;
     }
 
-    fn convert(action: ManagerAction) -> ImuAction {
-        match action {
-            ManagerAction::BroadcastBlock(b) => ImuAction::Broadcast(b),
-            ManagerAction::PollWatchers {
-                request_id,
-                suspect,
-                group,
-                plan,
-            } => ImuAction::Poll {
-                request_id,
-                suspect,
-                group,
-                plan,
-            },
-            ManagerAction::Dismiss { reporter, suspect } => {
-                ImuAction::Dismiss { reporter, suspect }
-            }
-            ManagerAction::EvacuationAlert {
-                suspect, location, ..
-            } => ImuAction::Alert { suspect, location },
-        }
-    }
-
     /// Processes one scheduling window, with no logging and no crash. A
     /// malicious manager with `corrupt_next_block` set substitutes
     /// conflicting plans into the properly signed block (it holds the
     /// key); the swap fires at most once per run.
-    pub fn on_window(&mut self, requests: &[PlanRequest], now: f64) -> Vec<ImuAction> {
+    pub fn on_window(&mut self, requests: &[PlanRequest], now: f64) -> Vec<ManagerAction> {
         let Some(action) = self.manager.on_window(requests, now) else {
             return Vec::new();
         };
         let ManagerAction::BroadcastBlock(block) = action else {
-            return vec![Self::convert(action)];
+            return vec![action];
         };
         if self.malicious && self.corrupt_next_block && !self.corruption_emitted {
             if let Some(bad_plans) = corrupt::make_conflicting(block.plans(), &self.topology, now) {
@@ -629,11 +574,11 @@ impl ImuAgent {
                 self.corrupt_next_block = false;
                 let evil = tamper::resign_with_plans(&block, bad_plans, self.signer.as_ref());
                 self.corrupted_index = Some(evil.index());
-                return vec![ImuAction::Broadcast(evil)];
+                return vec![ManagerAction::BroadcastBlock(evil)];
             }
             // Not enough crossing traffic in this window; try the next.
         }
-        vec![ImuAction::Broadcast(block)]
+        vec![ManagerAction::BroadcastBlock(block)]
     }
 
     /// Handles an incident report. The malicious manager dismisses
@@ -645,12 +590,12 @@ impl ImuAgent {
         nearby_watchers: &[VehicleId],
         colluders: &HashSet<VehicleId>,
         now: f64,
-    ) -> Vec<ImuAction> {
+    ) -> Vec<ManagerAction> {
         if self.malicious {
             if self.shielded.contains(&report.suspect) {
                 // Protect the colluding violator: tell the honest
                 // reporter it was wrong.
-                return vec![ImuAction::Dismiss {
+                return vec![ManagerAction::Dismiss {
                     reporter: report.reporter,
                     suspect: report.suspect,
                 }];
@@ -658,17 +603,15 @@ impl ImuAgent {
             if colluders.contains(&report.reporter) {
                 // Collusion: stage an evacuation against the innocent
                 // accused without any verification.
-                return vec![ImuAction::Alert {
+                return vec![ManagerAction::EvacuationAlert {
                     suspect: report.suspect,
+                    descriptor: VehicleDescriptor::default(),
                     location: report.evidence.position,
                 }];
             }
         }
         self.manager
             .on_incident_report(report, nearby_watchers, now)
-            .into_iter()
-            .map(Self::convert)
-            .collect()
     }
 
     /// Handles a watcher's verify-response (ignored by a malicious
@@ -681,22 +624,18 @@ impl ImuAgent {
         abnormal: bool,
         fresh_candidates: &[VehicleId],
         now: f64,
-    ) -> Vec<ImuAction> {
+    ) -> Vec<ManagerAction> {
         if self.malicious {
             return Vec::new();
         }
-        self.manager
-            .on_verify_response(
-                request_id,
-                suspect,
-                observed,
-                abnormal,
-                fresh_candidates,
-                now,
-            )
-            .into_iter()
-            .map(Self::convert)
-            .collect()
+        self.manager.on_verify_response(
+            request_id,
+            suspect,
+            observed,
+            abnormal,
+            fresh_candidates,
+            now,
+        )
     }
 }
 
@@ -706,7 +645,6 @@ mod tests {
     use nwade::messages::Observation;
     use nwade_crypto::MockScheme;
     use nwade_intersection::{build, MovementId};
-    use nwade_traffic::VehicleDescriptor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -748,7 +686,7 @@ mod tests {
     fn honest_window_broadcasts_clean_block() {
         let mut a = agent(false);
         let actions = a.on_window(&requests(3, 0), 0.0);
-        let [ImuAction::Broadcast(block)] = actions.as_slice() else {
+        let [ManagerAction::BroadcastBlock(block)] = actions.as_slice() else {
             panic!("expected broadcast");
         };
         assert_eq!(block.plans().len(), 3);
@@ -760,7 +698,7 @@ mod tests {
         let mut a = agent(true);
         a.corrupt_next_block = true;
         let actions = a.on_window(&requests(8, 0), 0.0);
-        let [ImuAction::Broadcast(block)] = actions.as_slice() else {
+        let [ManagerAction::BroadcastBlock(block)] = actions.as_slice() else {
             panic!("expected broadcast");
         };
         assert!(
@@ -770,7 +708,7 @@ mod tests {
         assert!(a.corruption_emitted);
         // The next window is clean again.
         let actions = a.on_window(&requests(4, 100), 10.0);
-        let [ImuAction::Broadcast(block)] = actions.as_slice() else {
+        let [ManagerAction::BroadcastBlock(block)] = actions.as_slice() else {
             panic!()
         };
         assert!(nwade_aim::find_conflicts(block.plans(), a.manager().topology(), 0.5).is_empty());
@@ -783,7 +721,7 @@ mod tests {
         let actions = a.on_incident_report(&incident(0, 9), &[], &HashSet::new(), 1.0);
         assert!(matches!(
             actions.as_slice(),
-            [ImuAction::Dismiss { reporter, suspect }]
+            [ManagerAction::Dismiss { reporter, suspect }]
                 if reporter.raw() == 0 && suspect.raw() == 9
         ));
     }
@@ -796,7 +734,7 @@ mod tests {
         let actions = a.on_incident_report(&incident(7, 3), &[], &colluders, 1.0);
         assert!(matches!(
             actions.as_slice(),
-            [ImuAction::Alert { suspect, .. }] if suspect.raw() == 3
+            [ManagerAction::EvacuationAlert { suspect, .. }] if suspect.raw() == 3
         ));
     }
 
@@ -813,6 +751,9 @@ mod tests {
         let mut a = agent(false);
         let watchers: Vec<VehicleId> = (1..8).map(VehicleId::new).collect();
         let actions = a.on_incident_report(&incident(0, 9), &watchers, &HashSet::new(), 1.0);
-        assert!(matches!(actions.as_slice(), [ImuAction::Poll { .. }]));
+        assert!(matches!(
+            actions.as_slice(),
+            [ManagerAction::PollWatchers { .. }]
+        ));
     }
 }

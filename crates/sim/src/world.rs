@@ -38,16 +38,14 @@
 
 use crate::adversary::{AdaptiveState, AttackPolicy, SYBIL_ID_BASE};
 use crate::config::{SignatureChoice, SimConfig};
-use crate::imu::{ImuAction, ImuAgent};
+use crate::imu::ImuAgent;
 use crate::invariant::{InvariantChecker, VehicleSnapshot};
 use crate::metrics::SimMetrics;
 use crate::report::SimReport;
 use crate::scan::{braking_ids, collision_pairs, observed_neighbors, BrakeState};
 use crate::vehicle::{DriveMode, Role, VehicleAgent};
 use nwade::attack::{AttackSetting, ViolationKind};
-use nwade::messages::{
-    class, GlobalClaim, GlobalReport, IncidentReport, NwadeMessage, Observation,
-};
+use nwade::messages::{GlobalClaim, GlobalReport, IncidentReport, NwadeMessage, Observation};
 use nwade::{
     EvacuationCause, GuardAction, ManagerAction, NwadeConfig, RetryDecision, VehicleGuard,
 };
@@ -682,13 +680,11 @@ impl Simulation {
         });
         self.handle_imu_actions(start.recovered, now);
         if let Some(block) = start.zombie {
-            self.medium.send(
+            self.send(
                 NodeId::Imu,
                 Recipient::Broadcast,
-                class::BLOCK,
                 NwadeMessage::Block(block),
                 now,
-                &mut self.rng,
             );
         }
 
@@ -835,13 +831,11 @@ impl Simulation {
         let req = agent.plan_request();
         self.vehicles.insert(ev.id.raw(), agent);
         self.metrics.spawned += 1;
-        self.medium.send(
+        self.send(
             NodeId::Vehicle(ev.id.raw()),
             Recipient::Unicast(NodeId::Imu),
-            class::PLAN_REQUEST,
             NwadeMessage::PlanRequest(req),
             now,
-            &mut self.rng,
         );
     }
 
@@ -886,13 +880,11 @@ impl Simulation {
             self.vehicles.insert(handoff.id.raw(), agent);
             self.metrics.handoffs_in += 1;
             self.handoff_wait.insert(handoff.id.raw(), queued_at);
-            self.medium.send(
+            self.send(
                 NodeId::Vehicle(handoff.id.raw()),
                 Recipient::Unicast(NodeId::Imu),
-                class::PLAN_REQUEST,
                 NwadeMessage::PlanRequest(req),
                 now,
-                &mut self.rng,
             );
         }
     }
@@ -974,13 +966,11 @@ impl Simulation {
             }
         }
         for req in resend {
-            self.medium.send(
+            self.send(
                 NodeId::Vehicle(req.id.raw()),
                 Recipient::Unicast(NodeId::Imu),
-                class::PLAN_REQUEST,
                 NwadeMessage::PlanRequest(req),
                 now,
-                &mut self.rng,
             );
         }
     }
@@ -1018,13 +1008,11 @@ impl Simulation {
         }
         for (id, report) in sends {
             self.last_announce.insert(id, now);
-            self.medium.send(
+            self.send(
                 NodeId::Vehicle(id),
                 Recipient::Broadcast,
-                class::GLOBAL_REPORT,
                 NwadeMessage::GlobalReport(report),
                 now,
-                &mut self.rng,
             );
         }
     }
@@ -1139,10 +1127,9 @@ impl Simulation {
                         speed: 0.0,
                         time: now,
                     };
-                    self.medium.send(
+                    self.send(
                         NodeId::Vehicle(reporter.raw()),
                         Recipient::Unicast(NodeId::Imu),
-                        class::INCIDENT_REPORT,
                         NwadeMessage::IncidentReport(IncidentReport {
                             reporter,
                             suspect: accused,
@@ -1150,7 +1137,6 @@ impl Simulation {
                             block_index: 0,
                         }),
                         now,
-                        &mut self.rng,
                     );
                 }
             }
@@ -1158,17 +1144,15 @@ impl Simulation {
             // "disseminate false traffic situations to mislead normal
             // vehicles").
             if let Some(accused) = self.accused {
-                self.medium.send(
+                self.send(
                     NodeId::Vehicle(reporter.raw()),
                     Recipient::Broadcast,
-                    class::GLOBAL_REPORT,
                     NwadeMessage::GlobalReport(GlobalReport {
                         sender: reporter,
                         claim: GlobalClaim::AbnormalVehicle { suspect: accused },
                         time: now,
                     }),
                     now,
-                    &mut self.rng,
                 );
             }
             // Type B: falsely claim the manager's latest block carries
@@ -1176,17 +1160,15 @@ impl Simulation {
             let bogus_index = self.last_block_index.unwrap_or(0);
             self.bogus_claim_index = Some(bogus_index);
             SimMetrics::note_first(&mut self.metrics.type_b_first_broadcast, now);
-            self.medium.send(
+            self.send(
                 NodeId::Vehicle(reporter.raw()),
                 Recipient::Broadcast,
-                class::GLOBAL_REPORT,
                 NwadeMessage::GlobalReport(GlobalReport {
                     sender: reporter,
                     claim: GlobalClaim::ConflictingPlans { index: bogus_index },
                     time: now,
                 }),
                 now,
-                &mut self.rng,
             );
         }
     }
@@ -1413,10 +1395,9 @@ impl Simulation {
                 speed: 0.0,
                 time: now,
             };
-            self.medium.send(
+            self.send(
                 NodeId::Vehicle(reporter.raw()),
                 Recipient::Unicast(NodeId::Imu),
-                class::INCIDENT_REPORT,
                 NwadeMessage::IncidentReport(IncidentReport {
                     reporter,
                     suspect: target,
@@ -1424,7 +1405,6 @@ impl Simulation {
                     block_index: 0,
                 }),
                 now,
-                &mut self.rng,
             );
             self.metrics.sybil_reports += 1;
         }
@@ -1727,14 +1707,17 @@ impl Simulation {
     /// The descriptor the manager publishes with an evacuation alert;
     /// blank for a vehicle this world never saw.
     fn descriptor_of(&self, id: VehicleId) -> VehicleDescriptor {
-        self.vehicles.get(&id.raw()).map_or_else(
-            || VehicleDescriptor {
-                brand: String::new(),
-                model: String::new(),
-                color: String::new(),
-            },
-            |v| v.descriptor.clone(),
-        )
+        self.vehicles
+            .get(&id.raw())
+            .map(|v| v.descriptor.clone())
+            .unwrap_or_default()
+    }
+
+    /// Puts `message` on the air, labelled with its packet class.
+    fn send(&mut self, from: NodeId, to: Recipient, message: NwadeMessage, now: f64) {
+        let class = message.class();
+        self.medium
+            .send(from, to, class, message, now, &mut self.rng);
     }
 
     fn imu_receive(&mut self, _from: NodeId, message: NwadeMessage, now: f64) {
@@ -1758,17 +1741,15 @@ impl Simulation {
                     // attack: acknowledge so the reporter does not time
                     // out and escalate.
                     let descriptor = self.descriptor_of(report.suspect);
-                    self.medium.send(
+                    self.send(
                         NodeId::Imu,
                         Recipient::Unicast(NodeId::Vehicle(report.reporter.raw())),
-                        class::EVACUATION_ALERT,
                         NwadeMessage::EvacuationAlert {
                             suspect: report.suspect,
                             descriptor,
                             location: report.evidence.position,
                         },
                         now,
-                        &mut self.rng,
                     );
                     return;
                 }
@@ -1805,13 +1786,11 @@ impl Simulation {
                 let blocks = self.imu.manager().blocks_from(from_index);
                 if !blocks.is_empty() {
                     if let NodeId::Vehicle(requester) = _from {
-                        self.medium.send(
+                        self.send(
                             NodeId::Imu,
                             Recipient::Unicast(NodeId::Vehicle(requester)),
-                            class::BLOCK_RESPONSE,
                             NwadeMessage::BlockResponse(blocks),
                             now,
-                            &mut self.rng,
                         );
                     }
                 }
@@ -1820,10 +1799,10 @@ impl Simulation {
         }
     }
 
-    fn handle_imu_actions(&mut self, actions: Vec<ImuAction>, now: f64) {
+    fn handle_imu_actions(&mut self, actions: Vec<ManagerAction>, now: f64) {
         for action in actions {
             match action {
-                ImuAction::Broadcast(block) => {
+                ManagerAction::BroadcastBlock(block) => {
                     self.last_block_index = Some(block.index());
                     self.metrics.blocks_broadcast += 1;
                     self.metrics.block_sizes.push(block.plans().len());
@@ -1834,16 +1813,14 @@ impl Simulation {
                         }
                     }
                     self.imu.broadcasted(block.index());
-                    self.medium.send(
+                    self.send(
                         NodeId::Imu,
                         Recipient::Broadcast,
-                        class::BLOCK,
                         NwadeMessage::Block(block),
                         now,
-                        &mut self.rng,
                     );
                 }
-                ImuAction::Poll {
+                ManagerAction::PollWatchers {
                     request_id,
                     suspect,
                     group,
@@ -1853,34 +1830,32 @@ impl Simulation {
                         let Some(plan) = plan.clone() else {
                             continue;
                         };
-                        self.medium.send(
+                        self.send(
                             NodeId::Imu,
                             Recipient::Unicast(NodeId::Vehicle(watcher.raw())),
-                            class::VERIFY_REQUEST,
                             NwadeMessage::VerifyRequest {
                                 request_id,
                                 suspect,
                                 plan,
                             },
                             now,
-                            &mut self.rng,
                         );
                     }
                 }
-                ImuAction::Dismiss { reporter, suspect } => {
+                ManagerAction::Dismiss { reporter, suspect } => {
                     if Some(suspect) == self.accused {
                         SimMetrics::note_first(&mut self.metrics.false_accusation_dismissed, now);
                     }
-                    self.medium.send(
+                    self.send(
                         NodeId::Imu,
                         Recipient::Unicast(NodeId::Vehicle(reporter.raw())),
-                        class::DISMISSAL,
                         NwadeMessage::Dismissal { suspect },
                         now,
-                        &mut self.rng,
                     );
                 }
-                ImuAction::Alert { suspect, location } => {
+                ManagerAction::EvacuationAlert {
+                    suspect, location, ..
+                } => {
                     if Some(suspect) == self.violator && !self.imu.malicious {
                         SimMetrics::note_first(&mut self.metrics.violation_confirmed, now);
                     }
@@ -1896,18 +1871,18 @@ impl Simulation {
                     if Some(suspect) == self.sybil_target && !self.imu.malicious {
                         self.metrics.sybil_false_alerts += 1;
                     }
+                    // The world knows every vehicle's features, also of a
+                    // suspect the manager never published a plan for.
                     let descriptor = self.descriptor_of(suspect);
-                    self.medium.send(
+                    self.send(
                         NodeId::Imu,
                         Recipient::Broadcast,
-                        class::EVACUATION_ALERT,
                         NwadeMessage::EvacuationAlert {
                             suspect,
                             descriptor,
                             location,
                         },
                         now,
-                        &mut self.rng,
                     );
                     // An honest manager follows up with evacuation plans
                     // on the chain (a staged alert from a malicious
@@ -1948,13 +1923,11 @@ impl Simulation {
         if let Some(block) = self.imu.evacuation_block(&states, &threats, now) {
             self.metrics.blocks_broadcast += 1;
             self.metrics.block_sizes.push(block.plans().len());
-            self.medium.send(
+            self.send(
                 NodeId::Imu,
                 Recipient::Broadcast,
-                class::BLOCK,
                 NwadeMessage::Block(block),
                 now,
-                &mut self.rng,
             );
         }
     }
@@ -2016,10 +1989,9 @@ impl Simulation {
                         Some(&plan),
                     )
                 };
-                self.medium.send(
+                self.send(
                     NodeId::Vehicle(id),
                     Recipient::Unicast(NodeId::Imu),
-                    class::VERIFY_RESPONSE,
                     NwadeMessage::VerifyResponse {
                         request_id,
                         suspect,
@@ -2027,7 +1999,6 @@ impl Simulation {
                         abnormal: abnormal.1,
                     },
                     now,
-                    &mut self.rng,
                 );
             }
             NwadeMessage::GlobalReport(report) => {
@@ -2073,13 +2044,11 @@ impl Simulation {
                     .collect();
                 if !blocks.is_empty() {
                     if let NodeId::Vehicle(requester) = from {
-                        self.medium.send(
+                        self.send(
                             NodeId::Vehicle(id),
                             Recipient::Unicast(NodeId::Vehicle(requester)),
-                            class::BLOCK_RESPONSE,
                             NwadeMessage::BlockResponse(blocks),
                             now,
-                            &mut self.rng,
                         );
                     }
                 }
@@ -2119,13 +2088,11 @@ impl Simulation {
                     if Some(report.suspect) == self.violator {
                         SimMetrics::note_first(&mut self.metrics.violation_first_report, now);
                     }
-                    self.medium.send(
+                    self.send(
                         NodeId::Vehicle(id.raw()),
                         Recipient::Unicast(NodeId::Imu),
-                        class::INCIDENT_REPORT,
                         NwadeMessage::IncidentReport(report),
                         now,
-                        &mut self.rng,
                     );
                 }
                 GuardAction::BroadcastGlobalReport(report) => {
@@ -2147,13 +2114,11 @@ impl Simulation {
                         }
                         _ => {}
                     }
-                    self.medium.send(
+                    self.send(
                         NodeId::Vehicle(id.raw()),
                         Recipient::Broadcast,
-                        class::GLOBAL_REPORT,
                         NwadeMessage::GlobalReport(report),
                         now,
-                        &mut self.rng,
                     );
                 }
                 GuardAction::RequestBlocks { from_index } => {
@@ -2178,13 +2143,11 @@ impl Simulation {
                     let target = nearest
                         .map(|p| NodeId::Vehicle(p.raw()))
                         .unwrap_or(NodeId::Imu);
-                    self.medium.send(
+                    self.send(
                         NodeId::Vehicle(id.raw()),
                         Recipient::Unicast(target),
-                        class::BLOCK_REQUEST,
                         NwadeMessage::BlockRequest { from_index },
                         now,
-                        &mut self.rng,
                     );
                 }
                 GuardAction::RebutGlobalReport { claim } => {
@@ -2302,16 +2265,14 @@ impl Simulation {
             // Baseline without NWADE: plans are unicast, no blockchain.
             let actions = self.imu.on_window(&requests, now);
             for action in actions {
-                if let ImuAction::Broadcast(block) = action {
+                if let ManagerAction::BroadcastBlock(block) = action {
                     self.metrics.plans_scheduled += block.plans().len();
                     for plan in block.plans() {
-                        self.medium.send(
+                        self.send(
                             NodeId::Imu,
                             Recipient::Unicast(NodeId::Vehicle(plan.id().raw())),
-                            "plan-assignment",
                             NwadeMessage::PlanAssignment(plan.clone()),
                             now,
-                            &mut self.rng,
                         );
                     }
                 }

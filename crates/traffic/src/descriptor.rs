@@ -38,7 +38,7 @@ const COLORS: [&str; 7] = ["white", "black", "silver", "red", "blue", "gray", "g
 /// The static characteristics `char_j` carried in every travel plan
 /// (Eq. 1): car brand, model and color, which watchers and alert messages
 /// use to identify a suspect visually.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct VehicleDescriptor {
     /// Manufacturer name.
     pub brand: String,
