@@ -30,13 +30,12 @@
 //! returns all entries in exact push order and never sorts — the
 //! historical single-batch behaviour, bit-for-bit.
 //!
-//! Admission is applied by the *host* (simulation world or bench driver)
-//! before [`Scheduler::schedule`](crate::Scheduler::schedule); the policy
-//! travels in [`SchedulerConfig`](crate::SchedulerConfig) so the host,
-//! bench, and report layers read one source of truth. Schedulers
-//! themselves normalize whatever batch they receive through
-//! `batch_order`, so admission ordering never changes plan contents —
-//! only *membership* of the window batch.
+//! Admission is applied by the *host* before
+//! [`Scheduler::schedule`](crate::Scheduler::schedule): the simulation
+//! world reads its policy from `SimConfig::admission` in `nwade-sim`,
+//! and the schedulers never see it. Schedulers normalize whatever batch
+//! they receive through `batch_order`, so admission ordering never
+//! changes plan contents — only *membership* of the window batch.
 
 use crate::plan::PlanRequest;
 
@@ -51,8 +50,8 @@ pub enum AdmissionOrder {
     Deadline,
 }
 
-/// Per-window admission policy, carried in
-/// [`SchedulerConfig`](crate::SchedulerConfig).
+/// Per-window admission policy, carried by the host (the simulator's
+/// `SimConfig::admission`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionPolicy {
     /// Most requests admitted per window; `None` admits everything (the

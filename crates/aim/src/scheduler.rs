@@ -22,11 +22,6 @@ pub struct SchedulerConfig {
     /// Maximum extra delay the search will consider before giving up and
     /// holding the vehicle at the stop line, seconds.
     pub max_delay: f64,
-    /// Per-window admission policy the host applies *before* calling
-    /// [`Scheduler::schedule`]. Schedulers normalize their batch through
-    /// `batch_order`, so this decides window membership, not plan
-    /// contents. The default admits everything in arrival order.
-    pub admission: crate::admission::AdmissionPolicy,
 }
 
 impl Default for SchedulerConfig {
@@ -36,7 +31,6 @@ impl Default for SchedulerConfig {
             zone_gap: 1.2,
             search_step: 0.5,
             max_delay: 240.0,
-            admission: crate::admission::AdmissionPolicy::default(),
         }
     }
 }
