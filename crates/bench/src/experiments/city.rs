@@ -37,6 +37,7 @@ use std::time::Instant;
 
 use nwade_sim::{CityConfig, CityGrid, SignatureChoice, SimConfig};
 
+use super::json_num;
 use super::perf::host_threads;
 
 /// Shard counts swept; demand per shard is [`TOTAL_DEMAND`]` / shards`.
@@ -330,14 +331,6 @@ pub fn report() -> String {
             .map_or_else(|| "-".into(), |l| format!("{l:.1} s")),
         probe.anchor_mismatches,
     )
-}
-
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let idx = line.find(&pat)? + pat.len();
-    let rest = &line[idx..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
 }
 
 /// One parsed baseline cell.

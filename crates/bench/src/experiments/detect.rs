@@ -16,6 +16,8 @@
 
 use nwade::prob::{detection_probability, measured_detection_rate, wilson_interval};
 
+use super::json_num;
+
 /// Watcher counts (Eq. 2's ω) swept by the validation — six points, so
 /// the curve is pinned well past the acceptance floor of five.
 pub const OMEGAS: [f64; 6] = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0];
@@ -183,14 +185,6 @@ pub fn report() -> String {
             format!("WARNING: {disagreements} point(s) disagree with the analytic curve")
         },
     )
-}
-
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let idx = line.find(&pat)? + pat.len();
-    let rest = &line[idx..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
 }
 
 /// Validation gate: re-measures every point committed in

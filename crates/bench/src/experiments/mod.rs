@@ -42,3 +42,23 @@ pub fn with_attack(mut config: SimConfig, setting: AttackSetting) -> SimConfig {
     });
     config
 }
+
+/// The number under `key` in one line of a committed `BENCH_*.json`
+/// baseline (one flat JSON object per line), as the regression guards
+/// read them.
+pub(crate) fn json_num(line: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\":");
+    let idx = line.find(&pat)? + pat.len();
+    let rest = &line[idx..];
+    let end = rest.find([',', '}'])?;
+    rest[..end].trim().parse().ok()
+}
+
+/// The string under `key` in one baseline line (no escapes).
+pub(crate) fn json_str(line: &str, key: &str) -> Option<String> {
+    let pat = format!("\"{key}\":\"");
+    let idx = line.find(&pat)? + pat.len();
+    let rest = &line[idx..];
+    let end = rest.find('"')?;
+    Some(rest[..end].to_string())
+}

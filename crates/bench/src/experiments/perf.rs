@@ -15,6 +15,8 @@ use std::time::Instant;
 
 use nwade_sim::{SignatureChoice, SimConfig, Simulation};
 
+use super::{json_num, json_str};
+
 /// Schema tag of `BENCH_perf.json`; the guard reads no other.
 pub const SCHEMA: &str = "nwade-perf-v2";
 
@@ -366,22 +368,6 @@ pub fn report() -> String {
         render_saturation(&saturation),
         notes.join("\n")
     )
-}
-
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let idx = line.find(&pat)? + pat.len();
-    let rest = &line[idx..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let idx = line.find(&pat)? + pat.len();
-    let rest = &line[idx..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
 }
 
 /// Checks that the committed baseline's header names [`SCHEMA`]; a file

@@ -10,7 +10,7 @@
 //! standby rows must show zero evacuations where the cold rows evacuate
 //! the fleet — that contrast is the point of the store and the replica.
 
-use crate::experiments::{base_config, with_attack};
+use crate::experiments::{base_config, json_num, json_str, with_attack};
 use crate::table::render;
 use nwade::attack::AttackSetting;
 use nwade::CrashPoint;
@@ -297,21 +297,6 @@ pub fn report(rounds: u64, duration: f64) -> String {
             &body
         )
     )
-}
-
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let idx = line.find(&pat)? + pat.len();
-    let rest = &line[idx..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let idx = line.find(&pat)? + pat.len();
-    let rest = &line[idx..];
-    Some(rest[..rest.find('"')?].to_string())
 }
 
 /// One parsed baseline row.
