@@ -1,7 +1,7 @@
 //! Range queries for vehicle sensing and communication reachability.
 
+use crate::cell_hash::CellMap;
 use crate::Vec2;
-use std::collections::HashMap;
 
 /// Returns the indices of every point in `points` lying within `radius`
 /// of `center` (inclusive of the boundary).
@@ -29,7 +29,7 @@ pub fn within_radius(center: Vec2, radius: f64, points: &[Vec2]) -> Vec<usize> {
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     cell: f64,
-    cells: HashMap<(i64, i64), Vec<usize>>,
+    cells: CellMap<(i64, i64), Vec<usize>>,
     points: Vec<Vec2>,
 }
 
@@ -41,7 +41,7 @@ impl GridIndex {
     /// Panics if `cell` is non-positive.
     pub fn build(cell: f64, points: &[Vec2]) -> Self {
         assert!(cell > 0.0, "cell size must be positive, got {cell}");
-        let mut cells: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
+        let mut cells: CellMap<(i64, i64), Vec<usize>> = CellMap::default();
         for (i, p) in points.iter().enumerate() {
             cells.entry(Self::key(cell, *p)).or_default().push(i);
         }
@@ -62,7 +62,7 @@ impl GridIndex {
         assert!(cell > 0.0, "cell size must be positive, got {cell}");
         GridIndex {
             cell,
-            cells: HashMap::new(),
+            cells: CellMap::default(),
             points: Vec::new(),
         }
     }
