@@ -185,6 +185,12 @@ impl NwadeManager {
         }
     }
 
+    /// Every retained block, oldest first: the newest
+    /// [`NwadeConfig::recent_block_retention`] sealed blocks.
+    pub fn retained_blocks(&self) -> &std::collections::VecDeque<Block> {
+        &self.recent_blocks
+    }
+
     /// Recent blocks starting at `from_index`, for answering a vehicle's
     /// block request — at most
     /// [`NwadeConfig::block_backfill_limit`] of them.

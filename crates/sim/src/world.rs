@@ -709,11 +709,10 @@ impl Simulation {
             if start.up {
                 self.process_window(now);
             }
-            // Chain integrity is checked at window cadence (the chain
-            // only grows in windows; per-tick would re-verify the same
-            // blocks ten times over).
-            let chain = self.imu.manager().blocks_from(0);
-            self.invariants.check_chain(&chain, now);
+            // Chain integrity is checked at window cadence: the chain
+            // only grows in windows.
+            self.invariants
+                .check_chain(self.imu.manager().retained_blocks(), now);
         }
         self.check_threat_cleared();
         self.check_vehicle_invariants(now);
@@ -2335,4 +2334,57 @@ pub struct WindowBenchPoint {
     /// Wall-clock seconds spent on the window: admission, scheduling,
     /// conflict filter, Merkle root and signing.
     pub latency_s: f64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::invariant::InvariantKind;
+    use nwade_chain::Block;
+
+    /// The chain invariant covers every retained block, the newest
+    /// included, not only the oldest back-fill response's worth: with
+    /// more blocks retained than `block_backfill_limit`, a newest block
+    /// whose Merkle root no longer covers its plans is reported in the
+    /// next window.
+    #[test]
+    fn chain_check_reaches_the_newest_retained_block() {
+        let mut config = SimConfig::default();
+        config.duration = 120.0;
+        config.density = 80.0;
+        config.seed = 5;
+        let mut sim = Simulation::new(config);
+        while sim.imu.manager().retained_blocks().len() < 20 {
+            assert!(sim.now < 120.0, "20 blocks sealed within the run");
+            sim.tick_once();
+        }
+        assert!(sim.imu.manager().retained_blocks().len() > sim.nwade_cfg().block_backfill_limit);
+        assert_eq!(sim.invariants_so_far().total(), 0, "honest chain");
+
+        // Re-head the newest block with an older block's root, as a
+        // faulty re-seal would: its hash changes, and its root no longer
+        // covers its plans.
+        let manager = sim.imu.manager_mut();
+        let mut state = manager.durable_state();
+        let older = state.recent_blocks[0].clone();
+        let newest = state.recent_blocks.last_mut().expect("blocks retained");
+        *newest = Block::from_parts_anchored(
+            newest.index(),
+            newest.signature().to_vec(),
+            newest.prev_hash(),
+            newest.timestamp(),
+            older.merkle_root(),
+            newest.plans().to_vec(),
+            newest.anchors().to_vec(),
+        );
+        assert!(manager.restore_durable(&state));
+
+        let window = sim.last_window;
+        while sim.last_window == window {
+            sim.tick_once();
+        }
+        let report = sim.invariants_so_far();
+        assert_eq!(report.total(), 1, "{:?}", report.violations);
+        assert_eq!(report.violations[0].kind, InvariantKind::ChainIntegrity);
+    }
 }
