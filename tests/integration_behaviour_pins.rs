@@ -27,7 +27,8 @@ use nwade_repro::aim::AdmissionPolicy;
 use nwade_repro::nwade::attack::{AttackSetting, ViolationKind};
 use nwade_repro::nwade::CrashPoint;
 use nwade_repro::sim::{
-    CityConfig, CityGrid, CrashPlan, ImOutage, SchedulerChoice, SimConfig, Simulation,
+    CityConfig, CityGrid, CrashPlan, ImOutage, SchedulerChoice, SignatureChoice, SimConfig,
+    Simulation,
 };
 
 /// Digest of a `shards`-shard ring city run for `base.duration`.
@@ -259,6 +260,18 @@ fn zombie_primary_is_pinned() {
     let mut c = process_loss_with_standby();
     c.standby.zombie_delay = Some(0.5);
     assert_pinned("zombie", lifecycle_digest(c), 0xbc3b_be64_e6f5_2db1);
+}
+
+/// The standby promotion with blocks signed by a real 512-bit RSA key,
+/// the only pin that signs with RSA. Key generation draws from the RNG
+/// the run shares with demand generation, so every later draw, and every
+/// signature in the chain tips, depends on the RSA code.
+#[test]
+fn rsa_signed_promotion_is_pinned() {
+    let mut c = process_loss_with_standby();
+    c.signature = SignatureChoice::Rsa { bits: 512 };
+    c.store.enabled = true;
+    assert_pinned("rsa-promotion", lifecycle_digest(c), 0x7854_1132_145c_508f);
 }
 
 /// The attack starts before the crash. Confirming the violator changes
