@@ -8,7 +8,8 @@
 //!
 //! * [`sha256`](mod@sha256) — the FIPS 180-4 SHA-256 compression function,
 //! * [`bigint`] — arbitrary-precision unsigned integers (32-bit limbs),
-//! * [`modular`] — division, plain and Montgomery modular exponentiation,
+//! * [`modular`] — division, plain and Montgomery modular exponentiation
+//!   (64-bit limbs, 4-bit exponent window),
 //! * [`prime`] — Miller–Rabin probabilistic primality and prime generation,
 //! * [`rsa`] — RSA key generation, PKCS#1 v1.5-style signing/verification
 //!   with CRT acceleration,
