@@ -16,16 +16,12 @@
 //! * [`find_conflicts`] — the conflict check vehicles run on received
 //!   blocks (Algorithm 1, step ii); [`reserve_checked`] runs it on
 //!   occupancies the caller already holds and keeps the bookings,
-//! * [`AdmissionQueue`] — fairness-aware per-window admission with a
-//!   starvation-bounding aged class (applied by the host before
-//!   scheduling),
 //! * [`EvacuationPlanner`] — regenerates plans around confirmed threats,
 //! * [`corrupt`] — malicious-IM plan corruptions used by attack
 //!   injection.
 
 #![forbid(unsafe_code)]
 
-pub mod admission;
 pub mod conflict;
 pub mod corrupt;
 pub mod evacuation;
@@ -36,9 +32,6 @@ pub mod scheduler;
 pub mod seek;
 pub mod traffic_light;
 
-pub use admission::{
-    AdmissionOrder, AdmissionOutcome, AdmissionPolicy, AdmissionQueue, QueuedRequest,
-};
 pub use conflict::{find_conflicts, reserve_checked};
 pub use evacuation::EvacuationPlanner;
 pub use fcfs::FcfsScheduler;

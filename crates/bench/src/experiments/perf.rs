@@ -2,14 +2,15 @@
 //! processing latency across fleet densities.
 //!
 //! `report()` sweeps density over a prespawned fleet, then runs the
-//! **saturation study**: window throughput from 50 to 10 000 vehicles
-//! under unbounded admission. Both sweeps land in `BENCH_perf.json` at
-//! the repo root (a header object, then one result object per line,
-//! hand-rolled — the workspace has no JSON dependency) and render as
-//! human tables. `guard()` re-measures every point recorded in the
-//! committed baseline and fails on a >2× per-tick, per-window, or
-//! p99-window-latency slowdown — and on any window that admitted fewer
-//! requests than were offered without the shed counters saying so.
+//! **saturation study**: window throughput from 50 to 10 000 vehicles,
+//! every window taking the whole request queue. Both sweeps land in
+//! `BENCH_perf.json` at the repo root (a header object, then one result
+//! object per line, hand-rolled — the workspace has no JSON dependency)
+//! and render as human tables. `guard()` re-measures every point
+//! recorded in the committed baseline and fails on a >2× per-tick,
+//! per-window, or p99-window-latency slowdown — and on any saturation
+//! cell that did not seal one plan per placed vehicle in every measured
+//! window.
 
 use std::time::Instant;
 
@@ -58,9 +59,8 @@ pub struct PerfPoint {
     pub window_ms: f64,
     /// Active vehicles that wanted a plan when the window was filled.
     pub window_requests_offered: usize,
-    /// Requests actually admitted; smaller than
-    /// `window_requests_offered` exactly when an admission cap bound
-    /// (never, under the default unbounded policy).
+    /// Requests actually queued for the window; the sweep passes no
+    /// enqueue cap, so this equals `window_requests_offered`.
     pub window_requests_scheduled: usize,
 }
 
@@ -71,12 +71,12 @@ pub struct SaturationPoint {
     pub density: usize,
     /// Vehicles actually placed by `prespawn_fleet`.
     pub placed: usize,
-    /// Requests waiting at the last measured window (admitted +
-    /// deferred).
+    /// Requests waiting at the last measured window.
     pub offered: usize,
-    /// Requests admitted into the last measured window.
+    /// Requests the last measured window took (all of them).
     pub admitted: usize,
-    /// Total requests deferred across the measured windows.
+    /// Total requests deferred across the measured windows: always 0,
+    /// kept as a column of `BENCH_perf.json`.
     pub deferred: usize,
     /// Plans sealed into blocks across the measured windows.
     pub sealed_plans: usize,
@@ -136,8 +136,7 @@ pub fn measure(density: usize) -> PerfPoint {
 
     // Minimum over iterations, like the other metrics — window latency
     // gates CI, so spike-robustness matters more than averaging. The
-    // whole offered batch is enqueued; the configured admission policy
-    // (unbounded by default) decides what the window takes.
+    // whole offered batch is enqueued, and the window takes all of it.
     let mut window_s = f64::INFINITY;
     let mut window_requests_offered = 0;
     let mut window_requests_scheduled = 0;
@@ -302,15 +301,15 @@ fn render(points: &[PerfPoint]) -> String {
     )
 }
 
-/// Lines naming every cell where admission took fewer requests than
-/// were offered — caps must never bind silently.
+/// Lines naming every cell where fewer requests were queued than were
+/// offered — a cap must never bind silently.
 fn cap_notes(points: &[PerfPoint]) -> Vec<String> {
     points
         .iter()
         .filter(|p| p.window_requests_offered > p.window_requests_scheduled)
         .map(|p| {
             format!(
-                "note: admission bound at density {}: \
+                "note: request cap bound at density {}: \
                  {} vehicles offered, {} scheduled",
                 p.density, p.window_requests_offered, p.window_requests_scheduled
             )
@@ -362,7 +361,7 @@ pub fn report() -> String {
     notes.push(status);
     format!(
         "Perf baseline ({} hardware threads)\n{}\n\
-         Window saturation (unbounded admission)\n{}\n{}",
+         Window saturation (every window takes the whole queue)\n{}\n{}",
         host_threads(),
         render(&points),
         render_saturation(&saturation),
@@ -391,9 +390,10 @@ fn check_schema(committed: &str) -> Result<(), String> {
 /// and fails if any tick cell's per-tick **or** per-window time
 /// regressed by more than 2×. Saturation cells up to
 /// [`SATURATION_GUARD_MAX_DENSITY`] are re-measured too: their p99
-/// window latency is gated at 2×, and any window that admitted fewer
-/// requests than were offered **must** show a non-zero shed/deferral
-/// counter — a silently binding cap fails the guard.
+/// window latency is gated at 2×, and each **must** seal exactly one
+/// plan per placed vehicle in every one of its
+/// [`SATURATION_WINDOWS`] measured windows — a window that drops,
+/// defers or duplicates plans fails the guard.
 ///
 /// # Errors
 ///
@@ -466,8 +466,9 @@ pub fn guard() -> Result<String, String> {
     if rows.is_empty() {
         return Err(format!("no result lines found in {}", path.display()));
     }
-    // Saturation cells: shed counters must account for every admission
-    // gap, and p99 window latency gates at the same 2× threshold.
+    // Saturation cells: every measured window must seal one plan per
+    // placed vehicle, and p99 window latency gates at the same 2×
+    // threshold.
     let mut sat_rows = Vec::new();
     for line in committed
         .lines()
@@ -489,11 +490,12 @@ pub fn guard() -> Result<String, String> {
             continue;
         }
         let mut fresh = measure_saturation(density);
-        if fresh.admitted < fresh.offered && fresh.deferred == 0 {
+        let expected_plans = fresh.placed * SATURATION_WINDOWS;
+        if fresh.sealed_plans != expected_plans {
             failures.push(format!(
-                "saturation@{density}: admitted {} of {} offered requests with no \
-                 shed/deferral counter increment — a cap is binding silently",
-                fresh.admitted, fresh.offered
+                "saturation@{density}: sealed {} plans over {SATURATION_WINDOWS} windows \
+                 of {} placed vehicles, expected {expected_plans}",
+                fresh.sealed_plans, fresh.placed
             ));
         }
         let mut p99_ratio = ratio_of(fresh.p99_ms, committed_p99);
@@ -512,7 +514,7 @@ pub fn guard() -> Result<String, String> {
         }
         sat_rows.push(vec![
             density.to_string(),
-            format!("{}/{}", fresh.admitted, fresh.offered),
+            format!("{}/{expected_plans}", fresh.sealed_plans),
             format!("{committed_p99:.4}"),
             format!("{:.4}", fresh.p99_ms),
             format!("{p99_ratio:.2}x"),
@@ -536,7 +538,7 @@ pub fn guard() -> Result<String, String> {
         format!(
             "\n{}",
             crate::table::render(
-                &["density", "adm/off", "p99 base ms", "p99 ms", "p99 ratio"],
+                &["density", "sealed", "p99 base ms", "p99 ms", "p99 ratio"],
                 &sat_rows,
             )
         )
@@ -556,7 +558,6 @@ pub fn guard() -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nwade_aim::AdmissionPolicy;
 
     #[test]
     fn fleet_config_is_valid() {
@@ -643,7 +644,7 @@ mod tests {
         assert!(point.tick_ms > 0.0);
         assert!(point.sense_ms >= 0.0);
         assert!(point.window_requests_scheduled > 0);
-        // Unbounded admission: the whole offered batch is scheduled.
+        // No enqueue cap: the whole offered batch is queued.
         assert_eq!(
             point.window_requests_offered,
             point.window_requests_scheduled
@@ -657,33 +658,18 @@ mod tests {
             big.geometry.approach_len > 6000.0,
             "approaches must stretch to fit 10k vehicles single-file"
         );
-        assert_eq!(big.admission.max_batch, None);
         big.validate().expect("config valid");
         saturation_config(50).validate().expect("config valid");
     }
 
-    /// A tiny saturation cell: a binding admission cap must defer (and
-    /// say so), and the unbounded study must seal every offered plan.
+    /// A tiny saturation cell: the study must seal every offered plan.
     #[test]
     fn saturation_measures_small_fleet() {
-        let mut config = saturation_config(12);
-        config.admission = AdmissionPolicy::bounded(5);
-        config.validate().expect("valid");
-        let mut sim = Simulation::new(config);
-        let placed = sim.prespawn_fleet(12);
-        assert_eq!(placed, 12);
-        let (windows, _sealed) = sim.bench_window_throughput(2);
-        assert!(windows.iter().all(|w| w.admitted <= 5));
-        assert!(
-            windows.iter().any(|w| w.deferred > 0),
-            "a binding cap must surface in the deferral counter"
-        );
-
         let point = measure_saturation(12);
         assert_eq!(point.placed, 12);
         assert_eq!(point.deferred, 0);
         assert_eq!(point.offered, point.admitted);
-        assert!(point.sealed_plans > 0);
+        assert_eq!(point.sealed_plans, point.placed * SATURATION_WINDOWS);
         assert!(point.p99_ms >= point.p50_ms);
     }
 }

@@ -2,26 +2,20 @@
 
 use crate::block::{Block, ShardAnchor};
 use nwade_aim::TravelPlan;
-use nwade_crypto::merkle::leaf_hash;
-use nwade_crypto::{Digest, MerkleTree, SignatureScheme};
+use nwade_crypto::{Digest, SignatureScheme};
 use std::sync::Arc;
 
 /// Packages travel-plan batches into a growing blockchain.
 ///
 /// One packager instance lives inside the intersection manager; its state
-/// is the previous block hash and the next index. Plans can be handed
-/// over all at once ([`BlockPackager::package`]) or staged one at a time
-/// as they are scheduled during a processing window
-/// ([`BlockPackager::stage`] / [`BlockPackager::package_staged`]), which
-/// keeps the Merkle tree incremental — O(log n) hashing per plan instead
-/// of an O(n) rebuild at window close.
+/// is the previous block hash and the next index. Each processing window
+/// hands over all of its plans at once, and the packager seals them into
+/// one signed block (§IV-B1, Eq. 1).
 #[derive(Clone)]
 pub struct BlockPackager {
     signer: Arc<dyn SignatureScheme>,
     prev_hash: Digest,
     next_index: u64,
-    staged: Vec<TravelPlan>,
-    staged_tree: Option<MerkleTree>,
 }
 
 impl std::fmt::Debug for BlockPackager {
@@ -29,7 +23,6 @@ impl std::fmt::Debug for BlockPackager {
         f.debug_struct("BlockPackager")
             .field("scheme", &self.signer.name())
             .field("next_index", &self.next_index)
-            .field("staged", &self.staged.len())
             .finish()
     }
 }
@@ -42,8 +35,6 @@ impl BlockPackager {
             signer,
             prev_hash: Digest::ZERO,
             next_index: 0,
-            staged: Vec::new(),
-            staged_tree: None,
         }
     }
 
@@ -59,14 +50,10 @@ impl BlockPackager {
 
     /// Restores the chain tip from durable state (warm recovery): the
     /// next packaged block carries `prev_hash` and `next_index` exactly
-    /// as the pre-crash packager would have produced. Any half-staged
-    /// window is discarded — staged plans that never reached a WAL
-    /// commit are re-scheduled by replay, not resumed.
+    /// as the pre-crash packager would have produced.
     pub fn restore_tip(&mut self, prev_hash: Digest, next_index: u64) {
         self.prev_hash = prev_hash;
         self.next_index = next_index;
-        self.staged.clear();
-        self.staged_tree = None;
     }
 
     /// Packages one processing window's plans into a signed block and
@@ -79,23 +66,18 @@ impl BlockPackager {
     pub fn package(&mut self, plans: Vec<TravelPlan>, timestamp: f64) -> Block {
         assert!(!plans.is_empty(), "cannot package an empty window");
         let root = Block::root_of(&plans);
-        self.package_rooted(plans, root, timestamp)
-    }
-
-    /// Like [`BlockPackager::package`] but with the Merkle root already
-    /// computed by the caller. `root` **must** equal
-    /// `Block::root_of(&plans)` or the block will fail verification.
-    pub fn package_rooted(
-        &mut self,
-        plans: Vec<TravelPlan>,
-        root: Digest,
-        timestamp: f64,
-    ) -> Block {
         self.package_rooted_anchored(plans, root, timestamp, Vec::new())
     }
 
-    /// Like [`BlockPackager::package_rooted`] but embedding cross-shard
-    /// anchors — neighbour chain tips the signature and hash will cover.
+    /// Like [`BlockPackager::package`] but with the Merkle root already
+    /// computed by the caller and embedding cross-shard anchors —
+    /// neighbour chain tips the signature and hash will cover. `root`
+    /// **must** equal `Block::root_of(&plans)` or the block will fail
+    /// verification.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty batch, like [`BlockPackager::package`].
     pub fn package_rooted_anchored(
         &mut self,
         plans: Vec<TravelPlan>,
@@ -121,55 +103,6 @@ impl BlockPackager {
             root,
             plans,
             anchors,
-        );
-        self.prev_hash = block.hash();
-        self.next_index += 1;
-        block
-    }
-
-    /// Stages one plan for the block under construction, extending the
-    /// incremental Merkle tree by its leaf.
-    pub fn stage(&mut self, plan: TravelPlan) {
-        let leaf = leaf_hash(&plan.encode());
-        match &mut self.staged_tree {
-            Some(tree) => tree.push_leaf(leaf),
-            None => self.staged_tree = Some(MerkleTree::from_leaf_hashes(vec![leaf])),
-        }
-        self.staged.push(plan);
-    }
-
-    /// Number of plans staged so far.
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// Running Merkle root over the staged plans, `None` when nothing is
-    /// staged.
-    pub fn staged_root(&self) -> Option<Digest> {
-        self.staged_tree.as_ref().map(MerkleTree::root)
-    }
-
-    /// Packages the staged plans into a signed block — identical to
-    /// calling [`BlockPackager::package`] with the same plans in staging
-    /// order, but reusing the incrementally built Merkle tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics when nothing is staged.
-    pub fn package_staged(&mut self, timestamp: f64) -> Block {
-        assert!(!self.staged.is_empty(), "cannot package an empty window");
-        let tree = self.staged_tree.take().expect("tree tracks staged plans");
-        let plans = std::mem::take(&mut self.staged);
-        let root = tree.root();
-        let digest = Block::signing_digest(self.next_index, &self.prev_hash, timestamp, &root);
-        let signature = self.signer.sign(&digest);
-        let block = Block::from_parts(
-            self.next_index,
-            signature,
-            self.prev_hash,
-            timestamp,
-            root,
-            plans,
         );
         self.prev_hash = block.hash();
         self.next_index += 1;
@@ -221,19 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn package_rooted_matches_package() {
-        let mut a = packager();
-        let mut b = packager();
-        for (i, n) in [3u64, 1, 4].iter().enumerate() {
-            let plans = crate::block::tests::plans(*n);
-            let expect = a.package(plans.clone(), i as f64);
-            let root = Block::root_of(&plans);
-            let got = b.package_rooted(plans, root, i as f64);
-            assert_eq!(got.hash(), expect.hash(), "block {i} diverged");
-        }
-    }
-
-    #[test]
     fn anchored_blocks_verify_and_chain() {
         let scheme = Arc::new(MockScheme::from_seed(6));
         let mut p = BlockPackager::new(scheme.clone());
@@ -275,52 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_packaging_matches_batch_packaging() {
-        let mut batch = packager();
-        let mut staged = packager();
-        for (i, n) in [3u64, 1, 5].iter().enumerate() {
-            let plans = crate::block::tests::plans(*n);
-            let expected = batch.package(plans.clone(), i as f64);
-            for plan in plans {
-                staged.stage(plan);
-            }
-            assert_eq!(staged.staged_root(), Some(expected.merkle_root()));
-            let got = staged.package_staged(i as f64);
-            assert_eq!(got.hash(), expected.hash(), "block {i} diverged");
-            assert_eq!(got.signature(), expected.signature());
-            assert_eq!(staged.staged_len(), 0, "staging area drained");
-        }
-        let scheme = MockScheme::from_seed(1);
-        verify_block(&batch.package(crate::block::tests::plans(2), 9.0), &scheme)
-            .expect("chain state stays consistent");
-    }
-
-    #[test]
-    fn staged_blocks_verify_and_chain() {
-        let scheme = Arc::new(MockScheme::from_seed(4));
-        let mut p = BlockPackager::new(scheme.clone());
-        let mut prev: Option<Block> = None;
-        for i in 0..3 {
-            for plan in crate::block::tests::plans(2 + i) {
-                p.stage(plan);
-            }
-            let b = p.package_staged(i as f64);
-            verify_block(&b, scheme.as_ref()).expect("staged block verifies");
-            if let Some(prev) = &prev {
-                verify_link(prev, &b).expect("staged block chains");
-            }
-            prev = Some(b);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "empty window")]
-    fn empty_staged_window_panics() {
-        let mut p = packager();
-        let _ = p.package_staged(0.0);
-    }
-
-    #[test]
     fn restored_tip_continues_the_chain() {
         let mut live = packager();
         let b0 = live.package(crate::block::tests::plans(2), 1.0);
@@ -328,9 +202,7 @@ mod tests {
 
         // A fresh packager restored to the tip signs the same next block.
         let mut recovered = packager();
-        recovered.stage(crate::block::tests::plans(1).remove(0)); // stale staging
         recovered.restore_tip(live.prev_hash(), live.next_index());
-        assert_eq!(recovered.staged_len(), 0, "stale staging discarded");
         let plans = crate::block::tests::plans(2);
         let expect = live.package(plans.clone(), 3.0);
         let got = recovered.package(plans, 3.0);

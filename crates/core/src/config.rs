@@ -30,9 +30,9 @@ pub struct NwadeConfig {
     pub verification_group_size: usize,
     /// Chain cache capacity τ/δ: crossing time over window length.
     pub chain_cache_capacity: usize,
-    /// Most blocks the manager returns for one vehicle block request
-    /// (bounds the response to a catch-up query; the vehicle re-asks
-    /// from its new tip for more).
+    /// Most blocks one answer to a block request carries, whether the
+    /// manager or a peer vehicle serves it (bounds the response to a
+    /// catch-up query; the vehicle re-asks from its new tip for more).
     pub block_backfill_limit: usize,
     /// How many recent blocks the manager retains for serving block
     /// requests. Should cover `block_backfill_limit` plus the deepest

@@ -236,9 +236,21 @@ impl VehicleGuard {
         self.own_plan.as_ref()
     }
 
-    /// The chain cache (read access for peers requesting blocks).
+    /// The chain cache.
     pub fn cache(&self) -> &ChainCache {
         &self.cache
+    }
+
+    /// Cached blocks starting at `from_index`, for answering a peer's
+    /// block request — at most [`NwadeConfig::block_backfill_limit`] of
+    /// them, the cap [`crate::NwadeManager::blocks_from`] applies too.
+    pub fn blocks_from(&self, from_index: u64) -> Vec<Block> {
+        self.cache
+            .iter()
+            .filter(|b| b.index() >= from_index)
+            .take(self.config.block_backfill_limit)
+            .cloned()
+            .collect()
     }
 
     /// `true` once the guard has stopped trusting the manager.
@@ -1207,6 +1219,23 @@ mod tests {
             g.answer_verify_request(VehicleId::new(55), Some(&good), None),
             (false, false)
         );
+    }
+
+    #[test]
+    fn peer_block_requests_are_capped_by_the_backfill_limit() {
+        let mut w = World::new();
+        let mut config = NwadeConfig::default();
+        config.block_backfill_limit = 3;
+        let mut g = VehicleGuard::new(VehicleId::new(0), w.topo.clone(), w.scheme.clone(), config);
+        for _ in 0..5 {
+            let block = w.block_with_vehicles(1);
+            g.on_block(&block, w.clock);
+        }
+        assert_eq!(g.cache().len(), 5);
+        let indices = |blocks: Vec<Block>| blocks.iter().map(Block::index).collect::<Vec<_>>();
+        assert_eq!(indices(g.blocks_from(0)), vec![0, 1, 2]);
+        assert_eq!(indices(g.blocks_from(3)), vec![3, 4]);
+        assert!(g.blocks_from(5).is_empty());
     }
 
     #[test]

@@ -84,8 +84,11 @@ pub struct NwadeManager {
     false_reporters: HashMap<VehicleId, u32>,
     next_request_id: u64,
     /// The latest published plan per vehicle, used to pre-run the
-    /// vehicle-side conflict check before signing a block.
-    published: HashMap<VehicleId, TravelPlan>,
+    /// vehicle-side conflict check before signing a block. Ordered by
+    /// vehicle id: the publish filter hands these plans to
+    /// `find_conflicts` in map order, and which plans it drops depends
+    /// on that order, so it must be the same in every process.
+    published: BTreeMap<VehicleId, TravelPlan>,
     /// Recent blocks kept for serving vehicle block requests (§IV-B1:
     /// "a vehicle can request the blocks from neighboring vehicles or
     /// from the intersection manager").
@@ -141,7 +144,7 @@ impl NwadeManager {
             confirmed: Vec::new(),
             false_reporters: HashMap::new(),
             next_request_id: 0,
-            published: HashMap::new(),
+            published: BTreeMap::new(),
             recent_blocks: std::collections::VecDeque::new(),
             pending_anchors: BTreeMap::new(),
             fencing_epoch: 0,
@@ -224,7 +227,7 @@ impl NwadeManager {
     /// vehicles would reject.
     fn drop_unpublishable(&mut self, mut plans: Vec<TravelPlan>) -> Vec<TravelPlan> {
         loop {
-            let mut merged: HashMap<VehicleId, TravelPlan> = self.published.clone();
+            let mut merged = self.published.clone();
             for p in &plans {
                 merged.insert(p.id(), p.clone());
             }
@@ -575,8 +578,7 @@ impl NwadeManager {
     /// Conversational state (FSM phase, in-flight verifications) is
     /// deliberately excluded — it does not survive a restart either way.
     pub fn durable_state(&self) -> crate::persist::DurableState {
-        let mut published: Vec<TravelPlan> = self.published.values().cloned().collect();
-        published.sort_by_key(|p| p.id().raw());
+        let published: Vec<TravelPlan> = self.published.values().cloned().collect();
         let mut false_reporters: Vec<(VehicleId, u32)> =
             self.false_reporters.iter().map(|(v, n)| (*v, *n)).collect();
         false_reporters.sort_by_key(|(v, _)| v.raw());

@@ -87,44 +87,6 @@ impl MerkleTree {
         &self.levels[0]
     }
 
-    /// Appends one leaf hash, recomputing only the right spine —
-    /// O(log n) per append instead of the O(n) full rebuild. The tree is
-    /// at every moment identical to `from_leaf_hashes` over the same
-    /// leaves, so a caller accumulating a processing window can read a
-    /// running root (and proofs) after each plan arrives.
-    pub fn push_leaf(&mut self, leaf: Digest) {
-        self.levels[0].push(leaf);
-        let mut k = 0;
-        while self.levels[k].len() > 1 {
-            // The appended child changed (only) the last parent at this
-            // level; recompute it, growing the parent row or the tree
-            // height where needed.
-            let parent_idx = (self.levels[k].len() - 1) / 2;
-            let left = self.levels[k][2 * parent_idx];
-            let right = self.levels[k]
-                .get(2 * parent_idx + 1)
-                .copied()
-                .unwrap_or(left);
-            let parent = node_hash(&left, &right);
-            if self.levels.len() == k + 1 {
-                self.levels.push(vec![parent]);
-            } else {
-                let row = &mut self.levels[k + 1];
-                if row.len() == parent_idx {
-                    row.push(parent);
-                } else {
-                    row[parent_idx] = parent;
-                }
-            }
-            k += 1;
-        }
-    }
-
-    /// Appends a raw leaf payload (hashing it with [`leaf_hash`]).
-    pub fn push(&mut self, payload: &[u8]) {
-        self.push_leaf(leaf_hash(payload));
-    }
-
     /// Produces an inclusion proof for leaf `index`.
     ///
     /// # Panics
@@ -249,29 +211,6 @@ mod tests {
         concat.extend_from_slice(a.as_bytes());
         concat.extend_from_slice(b.as_bytes());
         assert_ne!(leaf_hash(&concat), node_hash(&a, &b));
-    }
-
-    #[test]
-    fn incremental_append_matches_batch_build() {
-        let ps = payloads(50);
-        let mut tree = MerkleTree::from_leaves(&ps[..1]);
-        for (n, p) in ps.iter().enumerate().skip(1) {
-            tree.push(p);
-            let batch = MerkleTree::from_leaves(&ps[..=n]);
-            assert_eq!(tree, batch, "divergence after {} leaves", n + 1);
-        }
-    }
-
-    #[test]
-    fn proofs_verify_after_incremental_appends() {
-        let ps = payloads(9);
-        let mut tree = MerkleTree::from_leaves(&ps[..1]);
-        for p in &ps[1..] {
-            tree.push(p);
-        }
-        for (i, p) in ps.iter().enumerate() {
-            assert!(tree.prove(i).verify_payload(p, &tree.root()));
-        }
     }
 
     #[test]

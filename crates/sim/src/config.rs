@@ -3,7 +3,6 @@
 use crate::adversary::AttackPolicy;
 use nwade::attack::{AttackSetting, ViolationKind};
 use nwade::{CrashPoint, NwadeConfig};
-use nwade_aim::AdmissionPolicy;
 use nwade_intersection::{GeometryConfig, IntersectionKind};
 use nwade_traffic::{KinematicLimits, TurnMix};
 use nwade_vanet::MediumConfig;
@@ -176,11 +175,6 @@ pub struct SimConfig {
     pub signature: SignatureChoice,
     /// Speed at which vehicles enter the modeled area, m/s.
     pub initial_speed: f64,
-    /// Per-window admission policy applied to the pending-request queue
-    /// before scheduling. The default (unbounded) admits everything in
-    /// arrival order — the historical behaviour, bit-for-bit; a bounded
-    /// policy caps the batch and defers the overflow fairly.
-    pub admission: AdmissionPolicy,
     /// Base offset added to every vehicle id this simulation generates
     /// (arrivals and prespawned fleets alike). City grids give each
     /// shard a disjoint id space so a handed-off vehicle keeps its
@@ -213,7 +207,6 @@ impl Default for SimConfig {
             seed: 0,
             signature: SignatureChoice::Mock,
             initial_speed: 15.0,
-            admission: AdmissionPolicy::default(),
             vehicle_id_base: 0,
         }
     }
@@ -229,7 +222,6 @@ impl SimConfig {
         self.geometry.validate()?;
         self.nwade.validate()?;
         self.medium.validate()?;
-        self.admission.validate()?;
         if !(self.density > 0.0) {
             return Err("density must be positive".into());
         }
@@ -369,10 +361,6 @@ mod tests {
             point: CrashPoint::BeforeCommit,
             cold_downtime: 0.0,
         });
-        assert!(c.validate().is_err());
-
-        let mut c = SimConfig::default();
-        c.admission = AdmissionPolicy::bounded(0);
         assert!(c.validate().is_err());
 
         let mut c = SimConfig::default();

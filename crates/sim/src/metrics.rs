@@ -115,19 +115,25 @@ pub struct SimMetrics {
     /// Plans scheduled in total.
     pub plans_scheduled: usize,
     /// Plan requests waiting when a processing window opened, summed
-    /// over windows (each deferral re-offers, so one vehicle can count
-    /// several times under a binding admission cap).
+    /// over windows (stale requests of vehicles that left or stopped
+    /// being active are dropped first and not counted).
     pub admission_offered: usize,
-    /// Requests admitted into a scheduling window, summed over windows.
+    /// Requests taken into a scheduling window, summed over windows.
+    /// Every window takes the whole queue, so this equals
+    /// [`SimMetrics::admission_offered`].
     pub admission_admitted: usize,
-    /// Requests the admission cap pushed back to a later window, summed
-    /// over windows.
+    /// Always 0: no window defers a request to a later one. Kept because
+    /// the benchmark reports it.
     pub admission_deferred: usize,
-    /// Requests dropped outright by a bench enqueue cap (never queued).
+    /// Requests dropped outright by the cap of
+    /// [`Simulation::enqueue_plan_requests`](crate::Simulation::enqueue_plan_requests)
+    /// (never queued).
     pub requests_shed: usize,
-    /// Windows in which the admission cap deferred at least one request.
+    /// Calls of `Simulation::enqueue_plan_requests` whose cap dropped at
+    /// least one request.
     pub shed_windows: usize,
-    /// `offered - admitted` gap of the most recent processing window.
+    /// Requests the most recent `Simulation::enqueue_plan_requests` cap
+    /// dropped; reset to 0 when a window takes the queue.
     pub last_window_shed_gap: usize,
     /// Plan count of every broadcast block (drives the Fig. 6 harness).
     pub block_sizes: Vec<usize>,

@@ -49,7 +49,7 @@ use nwade::messages::{GlobalClaim, GlobalReport, IncidentReport, NwadeMessage, O
 use nwade::{
     EvacuationCause, GuardAction, ManagerAction, NwadeConfig, RetryDecision, VehicleGuard,
 };
-use nwade_aim::{AdmissionQueue, PlanRequest, TravelPlan};
+use nwade_aim::{PlanRequest, TravelPlan};
 use nwade_chain::tamper;
 use nwade_crypto::{CachingVerifier, Digest, MockScheme, RsaKeyPair, RsaScheme, SignatureScheme};
 use nwade_geometry::{GridIndex, MotionProfile, Vec2};
@@ -160,10 +160,10 @@ pub struct Simulation {
     imu: ImuAgent,
     vehicles: BTreeMap<u64, VehicleAgent>,
     spawn_queue: VecDeque<SpawnEvent>,
-    /// Plan requests received and waiting for a window, with arrival
-    /// times and deferral bookkeeping; `config.admission` decides which
-    /// ones each window actually takes.
-    pending_requests: AdmissionQueue,
+    /// Plan requests received and waiting for the next window, each
+    /// with its arrival time, in arrival order. Every window takes the
+    /// whole queue.
+    pending_requests: Vec<(f64, PlanRequest)>,
     now: f64,
     metrics: SimMetrics,
     scheme: Arc<dyn SignatureScheme>,
@@ -272,7 +272,7 @@ impl Simulation {
             imu,
             vehicles: BTreeMap::new(),
             spawn_queue: spawns.into(),
-            pending_requests: AdmissionQueue::new(),
+            pending_requests: Vec::new(),
             now: 0.0,
             metrics: SimMetrics::default(),
             scheme,
@@ -418,7 +418,9 @@ impl Simulation {
         h.u64(self.medium.flight_digest());
         h.u64(self.spawn_queue.len() as u64);
         h.u64(self.pending_requests.len() as u64);
-        h.u64(self.pending_requests.total_deferrals());
+        // The queue's deferral total: 0 now that every window takes the
+        // whole queue, still hashed so recorded streams stay identical.
+        h.u64(0);
         h.u64(self.metrics.spawned as u64);
         h.u64(self.metrics.exited as u64);
         h.u64(self.metrics.blocks_broadcast as u64);
@@ -505,7 +507,7 @@ impl Simulation {
         }
         let queued = candidates.len();
         for (_, req) in candidates {
-            self.pending_requests.push(now, req);
+            self.pending_requests.push((now, req));
         }
         let shed = offered - queued;
         self.metrics.requests_shed += shed;
@@ -525,11 +527,11 @@ impl Simulation {
 
     /// Drives `rounds` back-to-back processing windows over the current
     /// fleet and measures each one, re-offering every active vehicle per
-    /// round. Each window applies `config.admission` and drives the real
+    /// round. Each window takes the whole queue and drives the real
     /// manager on the calling thread, but bypasses the VANET and
-    /// persistence layers — the measured work is admission, scheduling,
-    /// packaging and signing. Returns the per-window points and the
-    /// total plans sealed into blocks.
+    /// persistence layers — the measured work is scheduling, the
+    /// conflict filter, packaging and signing. Returns the per-window
+    /// points and the total plans sealed into blocks.
     pub fn bench_window_throughput(&mut self, rounds: usize) -> (Vec<WindowBenchPoint>, usize) {
         let window = self.nwade_cfg().processing_window;
         let mut points = Vec::with_capacity(rounds);
@@ -540,16 +542,15 @@ impl Simulation {
             self.enqueue_plan_requests(usize::MAX);
             let start = std::time::Instant::now();
             let requests = self.admit_pending(now);
-            let deferred = self.metrics.last_window_shed_gap;
             if let Some(ManagerAction::BroadcastBlock(b)) =
                 self.imu.manager_mut().on_window(&requests, now)
             {
                 sealed += b.plans().len();
             }
             points.push(WindowBenchPoint {
-                offered: requests.len() + deferred,
+                offered: requests.len(),
                 admitted: requests.len(),
-                deferred,
+                deferred: 0,
                 latency_s: start.elapsed().as_secs_f64(),
             });
         }
@@ -1722,7 +1723,7 @@ impl Simulation {
     fn imu_receive(&mut self, _from: NodeId, message: NwadeMessage, now: f64) {
         match message {
             NwadeMessage::PlanRequest(req) => {
-                self.pending_requests.push(now, req);
+                self.pending_requests.push((now, req));
             }
             NwadeMessage::IncidentReport(report) => {
                 // Detection feedback for the adaptive adversary: any
@@ -2032,15 +2033,7 @@ impl Simulation {
                 self.handle_guard_actions(VehicleId::new(id), actions, now);
             }
             NwadeMessage::BlockRequest { from_index } => {
-                // Serve at most a bounded slice of the cache.
-                let blocks: Vec<_> = self.vehicles[&id]
-                    .guard
-                    .cache()
-                    .iter()
-                    .filter(|b| b.index() >= from_index)
-                    .take(16)
-                    .cloned()
-                    .collect();
+                let blocks = self.vehicles[&id].guard.blocks_from(from_index);
                 if !blocks.is_empty() {
                     if let NodeId::Vehicle(requester) = from {
                         self.send(
@@ -2210,42 +2203,29 @@ impl Simulation {
 
     // ----- manager window ----------------------------------------------
 
-    /// Applies the configured admission policy to the pending queue:
-    /// drops stale entries (requester exited or evacuated), admits up to
-    /// the policy's cap — deadline = predicted seconds to the box entry
-    /// — and predicts each admitted request's position forward to `now`.
-    /// With the default unbounded policy this is exactly the historical
-    /// take-everything-in-arrival-order path. Deferral counts land in
-    /// [`SimMetrics`] so a binding cap is never silent.
+    /// Takes the whole pending queue for this window, in arrival order:
+    /// drops requests whose vehicle left or is no longer active, counts
+    /// the rest as offered and admitted, and predicts each requester's
+    /// position forward to `now`.
     fn admit_pending(&mut self, now: f64) -> Vec<PlanRequest> {
         let vehicles = &self.vehicles;
-        self.pending_requests.retain(|e| {
+        self.pending_requests.retain(|(_, req)| {
             vehicles
-                .get(&e.request.id.raw())
+                .get(&req.id.raw())
                 .is_some_and(VehicleAgent::is_active)
         });
         if self.pending_requests.is_empty() {
             return Vec::new();
         }
-        let topo = &self.topo;
-        let outcome = self.pending_requests.admit(&self.config.admission, |e| {
-            let movement = topo.movement(e.request.movement);
-            (movement.box_entry() - e.request.position_s) / e.request.speed.max(0.1)
-        });
-        self.metrics.admission_offered += outcome.offered;
-        self.metrics.admission_admitted += outcome.admitted.len();
-        self.metrics.admission_deferred += outcome.deferred;
-        self.metrics.last_window_shed_gap = outcome.deferred;
-        if outcome.deferred > 0 {
-            self.metrics.shed_windows += 1;
-        }
-        outcome
-            .admitted
-            .into_iter()
-            .map(|e| {
+        let offered = self.pending_requests.len();
+        self.metrics.admission_offered += offered;
+        self.metrics.admission_admitted += offered;
+        self.metrics.last_window_shed_gap = 0;
+        self.pending_requests
+            .drain(..)
+            .map(|(arrival, mut req)| {
                 // Predict how far the requester has cruised since sending.
-                let mut req = e.request;
-                req.position_s += req.speed * (now - e.arrival);
+                req.position_s += req.speed * (now - arrival);
                 req
             })
             .collect()
@@ -2315,7 +2295,7 @@ impl Simulation {
                 }
             }
             for req in requests {
-                self.pending_requests.push(now, req);
+                self.pending_requests.push((now, req));
             }
         }
     }
@@ -2325,14 +2305,17 @@ impl Simulation {
 /// [`Simulation::bench_window_throughput`].
 #[derive(Debug, Clone)]
 pub struct WindowBenchPoint {
-    /// Requests waiting when the window opened (admitted + deferred).
+    /// Requests waiting when the window opened.
     pub offered: usize,
-    /// Requests the admission policy let into the batch.
+    /// Requests the window took: all of them, as every window takes the
+    /// whole queue.
     pub admitted: usize,
-    /// Requests the admission cap deferred to a later window.
+    /// Always 0: nothing is deferred to a later window. Kept so the
+    /// saturation cells of `BENCH_perf.json` keep their `deferred`
+    /// column.
     pub deferred: usize,
-    /// Wall-clock seconds spent on the window: admission, scheduling,
-    /// conflict filter, Merkle root and signing.
+    /// Wall-clock seconds spent on the window: taking the queue,
+    /// scheduling, conflict filter, Merkle root and signing.
     pub latency_s: f64,
 }
 
@@ -2341,6 +2324,48 @@ mod tests {
     use super::*;
     use crate::invariant::InvariantKind;
     use nwade_chain::Block;
+
+    /// A window takes the whole queue in arrival order: the request of a
+    /// vehicle the world does not hold is dropped, the rest are counted
+    /// as offered and admitted, and each requester's position is
+    /// predicted forward by speed × wait.
+    #[test]
+    fn window_takes_the_whole_queue_in_arrival_order() {
+        let mut sim = Simulation::new(SimConfig::default());
+        assert_eq!(sim.prespawn_fleet(2), 2);
+        let fleet: Vec<PlanRequest> = sim
+            .vehicles
+            .values()
+            .map(VehicleAgent::plan_request)
+            .collect();
+        assert!(fleet.iter().all(|r| r.speed > 0.0));
+        let mut stranger = fleet[0].clone();
+        stranger.id = VehicleId::new(42);
+        assert!(!sim.vehicles.contains_key(&42));
+        // Arrival order is not id order.
+        sim.pending_requests.push((1.0, fleet[1].clone()));
+        sim.pending_requests.push((1.5, stranger));
+        sim.pending_requests.push((2.0, fleet[0].clone()));
+        let (offered, admitted) = (
+            sim.metrics.admission_offered,
+            sim.metrics.admission_admitted,
+        );
+
+        let taken = sim.admit_pending(3.0);
+        let ids: Vec<VehicleId> = taken.iter().map(|r| r.id).collect();
+        assert_eq!(ids, vec![fleet[1].id, fleet[0].id]);
+        assert_eq!(
+            taken[0].position_s,
+            fleet[1].position_s + fleet[1].speed * 2.0
+        );
+        assert_eq!(
+            taken[1].position_s,
+            fleet[0].position_s + fleet[0].speed * 1.0
+        );
+        assert!(sim.pending_requests.is_empty());
+        assert_eq!(sim.metrics.admission_offered, offered + 2);
+        assert_eq!(sim.metrics.admission_admitted, admitted + 2);
+    }
 
     /// The chain invariant covers every retained block, the newest
     /// included, not only the oldest back-fill response's worth: with

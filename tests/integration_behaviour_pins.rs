@@ -23,7 +23,6 @@
 mod common;
 
 use common::{assert_pinned, attack, config, sim_digest, ticks, StreamDigest};
-use nwade_repro::aim::AdmissionPolicy;
 use nwade_repro::nwade::attack::{AttackSetting, ViolationKind};
 use nwade_repro::nwade::CrashPoint;
 use nwade_repro::sim::{
@@ -78,14 +77,6 @@ fn short_outage_is_pinned() {
         duration: 6.0,
     });
     assert_pinned("chaos-outage", sim_digest(c), 0x85b9_0d60_fa9c_9950);
-}
-
-/// A binding admission cap: deferred requests age across windows.
-#[test]
-fn bounded_admission_is_pinned() {
-    let mut c = config(120.0, 120.0, 9);
-    c.admission = AdmissionPolicy::bounded(8);
-    assert_pinned("bounded-admission", sim_digest(c), 0x48b2_2659_20c6_d7fc);
 }
 
 #[test]
