@@ -6,13 +6,12 @@
 //! behaviour — each incoming vehicle asks for a plan, the manager returns
 //! a kinematically feasible speed profile that crosses the intersection
 //! without ever sharing a conflict-zone cell with another vehicle at the
-//! same time — plus two baselines (full-lock FCFS and a fixed traffic
-//! light) used for throughput comparisons.
+//! same time.
 //!
 //! * [`TravelPlan`] — `⟨id, char, status, inst⟩` exactly as Eq. 1,
 //! * [`ReservationTable`] — time-interval bookings per conflict zone,
-//! * [`ReservationScheduler`] — the DASH stand-in,
-//! * [`FcfsScheduler`], [`TrafficLightScheduler`] — baselines,
+//! * [`ReservationScheduler`] — the DASH stand-in, behind the
+//!   [`Scheduler`] trait the manager drives,
 //! * [`find_conflicts`] — the conflict check vehicles run on received
 //!   blocks (Algorithm 1, step ii); [`reserve_checked`] runs it on
 //!   occupancies the caller already holds and keeps the bookings,
@@ -25,20 +24,16 @@
 pub mod conflict;
 pub mod corrupt;
 pub mod evacuation;
-pub mod fcfs;
 pub mod plan;
 pub mod reservation;
 pub mod scheduler;
 pub mod seek;
-pub mod traffic_light;
 
 pub use conflict::{find_conflicts, reserve_checked};
 pub use evacuation::EvacuationPlanner;
-pub use fcfs::FcfsScheduler;
 pub use plan::{PlanRequest, TravelPlan, VehicleStatus};
 pub use reservation::{
     occupancy_into, occupancy_of, park_fallback, Blocking, Occupancy, ReservationTable,
 };
-pub use scheduler::{ReservationScheduler, Scheduler, SchedulerConfig, SchedulerState};
+pub use scheduler::{ReservationScheduler, Scheduler, SchedulerConfig};
 pub use seek::{EntrySeeker, SeekScratch};
-pub use traffic_light::TrafficLightScheduler;

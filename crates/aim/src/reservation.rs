@@ -65,9 +65,10 @@ pub fn occupancy_of(movement: &Movement, profile: &MotionProfile) -> Occupancy {
 /// this is a jam, not a cruise) until the resulting occupancy is free.
 /// As a last resort the vehicle halts in place.
 ///
-/// Used as the saturated-intersection fallback by every scheduler: the
-/// emitted plan may strand the vehicle, but it never *plans a collision*,
-/// so vehicle-side block verification stays clean.
+/// Used as the saturated-intersection fallback by the scheduler and the
+/// evacuation planner: the emitted plan may strand the vehicle, but it
+/// never *plans a collision*, so vehicle-side block verification stays
+/// clean.
 pub fn park_fallback(
     movement: &Movement,
     position_s: f64,

@@ -1,5 +1,6 @@
-//! The reservation-based scheduler (DASH stand-in) and the scheduler
-//! trait shared with the baselines.
+//! The reservation-based scheduler (DASH stand-in) and the
+//! [`Scheduler`] trait the manager drives it through (tests substitute
+//! fakes behind the same trait).
 
 use crate::plan::{PlanRequest, TravelPlan, VehicleStatus};
 use crate::reservation::{occupancy_of, ReservationTable};
@@ -39,12 +40,7 @@ impl Default for SchedulerConfig {
 /// request: plan to the box entry while approaching; a vehicle already
 /// past it (recovery replan mid-crossing) is planned to the path end so
 /// it actually drives out instead of freezing in place.
-pub(crate) fn approach(
-    movement: &Movement,
-    req: &PlanRequest,
-    lim: &KinematicLimits,
-    now: f64,
-) -> (f64, f64) {
+fn approach(movement: &Movement, req: &PlanRequest, lim: &KinematicLimits, now: f64) -> (f64, f64) {
     let d_box = movement.box_entry() - req.position_s;
     let d_plan = if d_box > 1.0 {
         d_box
@@ -53,52 +49,6 @@ pub(crate) fn approach(
     };
     let earliest = now + MotionProfile::earliest_arrival(req.speed, lim.v_max, lim.a_max, d_plan);
     (d_plan, earliest)
-}
-
-/// A scheduler's durable state, as captured by
-/// [`Scheduler::export_state`]: the canonical reservation-table bytes
-/// plus a scheduler-specific auxiliary blob (e.g. the FCFS box-free
-/// horizon). Restoring it with [`Scheduler::import_state`] on a freshly
-/// built scheduler of the same kind yields one that behaves identically
-/// to the original under every subsequent call.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SchedulerState {
-    /// [`ReservationTable::encode`] bytes.
-    pub table: Vec<u8>,
-    /// Scheduler-kind-specific extra state (empty for stateless kinds).
-    pub aux: Vec<u8>,
-}
-
-impl SchedulerState {
-    /// Flat encoding: `[u32 table len][table][u32 aux len][aux]`.
-    pub fn encode(&self) -> Vec<u8> {
-        use bytes::BufMut;
-        let mut buf = Vec::with_capacity(8 + self.table.len() + self.aux.len());
-        buf.put_u32(self.table.len() as u32);
-        buf.put_slice(&self.table);
-        buf.put_u32(self.aux.len() as u32);
-        buf.put_slice(&self.aux);
-        buf
-    }
-
-    /// Decodes [`SchedulerState::encode`] bytes; `None` on truncation
-    /// or trailing garbage, never a panic.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        use bytes::Buf;
-        let mut cursor = bytes;
-        let table_len = cursor.try_get_u32().ok()? as usize;
-        if cursor.remaining() < table_len {
-            return None;
-        }
-        let table = cursor[..table_len].to_vec();
-        cursor = &cursor[table_len..];
-        let aux_len = cursor.try_get_u32().ok()? as usize;
-        if cursor.remaining() != aux_len {
-            return None;
-        }
-        let aux = cursor.to_vec();
-        Some(SchedulerState { table, aux })
-    }
 }
 
 /// An intersection scheduler: turns plan requests into travel plans.
@@ -130,13 +80,16 @@ pub trait Scheduler {
     /// The topology this scheduler serves.
     fn topology(&self) -> &Topology;
 
-    /// Captures the scheduler's durable state for an IM snapshot.
-    fn export_state(&self) -> SchedulerState;
+    /// Captures the scheduler's durable state for an IM snapshot: the
+    /// [`ReservationTable::encode`] bytes of its bookings. Importing them
+    /// into a freshly built scheduler yields one that behaves identically
+    /// to this one under every subsequent call.
+    fn export_state(&self) -> Vec<u8>;
 
     /// Restores a [`Scheduler::export_state`] snapshot. Returns `false`
     /// (leaving the scheduler untouched) when the bytes are malformed —
     /// recovery then falls back to a cold restart.
-    fn import_state(&mut self, state: &SchedulerState) -> bool;
+    fn import_state(&mut self, state: &[u8]) -> bool;
 
     /// Deep copy behind the trait object. Forensic world snapshots clone
     /// the whole intersection manager, scheduler included; the copy must
@@ -247,10 +200,7 @@ impl ReservationScheduler {
 /// Orders a batch so vehicles closest to the intersection box are planned
 /// first — a trailing vehicle must respect the reservations of the
 /// vehicle physically ahead of it, never the other way around.
-pub(crate) fn batch_order<'a>(
-    requests: &'a [PlanRequest],
-    topology: &Topology,
-) -> Vec<&'a PlanRequest> {
+fn batch_order<'a>(requests: &'a [PlanRequest], topology: &Topology) -> Vec<&'a PlanRequest> {
     let mut order: Vec<&PlanRequest> = requests.iter().collect();
     order.sort_by(|a, b| {
         let da = topology.movement(a.movement).box_entry() - a.position_s;
@@ -292,15 +242,12 @@ impl Scheduler for ReservationScheduler {
         &self.topology
     }
 
-    fn export_state(&self) -> SchedulerState {
-        SchedulerState {
-            table: self.table.encode(),
-            aux: Vec::new(),
-        }
+    fn export_state(&self) -> Vec<u8> {
+        self.table.encode()
     }
 
-    fn import_state(&mut self, state: &SchedulerState) -> bool {
-        match ReservationTable::decode(&state.table) {
+    fn import_state(&mut self, state: &[u8]) -> bool {
+        match ReservationTable::decode(state) {
             Some(table) => {
                 self.table = table;
                 true

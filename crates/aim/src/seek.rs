@@ -323,8 +323,8 @@ mod proptests {
         /// first zone forever) and random
         /// request kinematics: speed, speed cap (evacuation lowers it),
         /// start position, planning to the box or to the path end, and a
-        /// first grid point pushed past the earliest arrival (the FCFS
-        /// box lock does that).
+        /// first grid point pushed past the earliest arrival (no planner
+        /// does that today; the search must not depend on it).
         #[test]
         fn seek_equals_linear(
             bookings in proptest::collection::vec(

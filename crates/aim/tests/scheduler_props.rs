@@ -5,8 +5,8 @@
 //! search is pinned to the linear probe loop in `seek.rs`.
 
 use nwade_aim::{
-    find_conflicts, occupancy_of, FcfsScheduler, PlanRequest, ReservationScheduler,
-    ReservationTable, Scheduler, SchedulerConfig, TrafficLightScheduler,
+    find_conflicts, occupancy_of, PlanRequest, ReservationScheduler, ReservationTable, Scheduler,
+    SchedulerConfig,
 };
 use nwade_geometry::TimeInterval;
 use nwade_intersection::{build, GeometryConfig, IntersectionKind, MovementId, Topology, ZoneId};
@@ -218,25 +218,6 @@ proptest! {
     ) {
         check_scheduler(
             ReservationScheduler::new(topo(), SchedulerConfig::default()),
-            stream,
-        );
-    }
-
-    #[test]
-    fn fcfs_scheduler_always_safe(
-        stream in proptest::collection::vec(
-            (0usize..16, 5.0..22.0f64, 1.5..8.0f64), 1..10)
-    ) {
-        check_scheduler(FcfsScheduler::new(topo(), SchedulerConfig::default()), stream);
-    }
-
-    #[test]
-    fn traffic_light_scheduler_always_safe(
-        stream in proptest::collection::vec(
-            (0usize..16, 5.0..22.0f64, 1.5..8.0f64), 1..10)
-    ) {
-        check_scheduler(
-            TrafficLightScheduler::new(topo(), SchedulerConfig::default(), Default::default()),
             stream,
         );
     }

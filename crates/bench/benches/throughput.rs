@@ -1,8 +1,8 @@
-//! Fig. 8 bench: scheduler throughput with and without NWADE, plus the
-//! baseline schedulers for comparison.
+//! Fig. 8 bench: reservation-scheduler throughput with and without
+//! NWADE.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nwade_sim::{SchedulerChoice, SimConfig, Simulation};
+use nwade_sim::{SimConfig, Simulation};
 
 fn bench_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig8_throughput");
@@ -19,24 +19,6 @@ fn bench_throughput(c: &mut Criterion) {
                     let report = Simulation::new(config).run();
                     assert!(report.metrics.exited > 0);
                     report
-                })
-            },
-        );
-    }
-    for (label, scheduler) in [
-        ("reservation", SchedulerChoice::Reservation),
-        ("fcfs", SchedulerChoice::Fcfs),
-        ("light", SchedulerChoice::TrafficLight),
-    ] {
-        group.bench_with_input(
-            BenchmarkId::new("scheduler_60s", label),
-            &scheduler,
-            |b, &scheduler| {
-                b.iter(|| {
-                    let mut config = SimConfig::default();
-                    config.duration = 60.0;
-                    config.scheduler = scheduler;
-                    Simulation::new(config).run()
                 })
             },
         );

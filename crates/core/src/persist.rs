@@ -9,9 +9,9 @@
 //! after the broadcast goes out; vehicle releases and evacuation stages
 //! are logged the same way, and every N windows a full
 //! [`WalRecord::Snapshot`] of the manager's durable state is appended
-//! in-log. Because every scheduler in the workspace is deterministic,
-//! recovery is "restore latest intact snapshot, then re-execute the
-//! suffix": the replayed windows rebuild the reservation table, the
+//! in-log. Because the scheduler is deterministic, recovery is
+//! "restore latest intact snapshot, then re-execute the suffix": the
+//! replayed windows rebuild the reservation table, the
 //! published-plan ledger, the chain tip and the recent-block cache
 //! bit-for-bit, and each re-created block is checked against the hash
 //! pinned by its `Commit` record — any divergence (or a corrupt
@@ -35,7 +35,7 @@
 
 use crate::manager::{ManagerAction, NwadeManager};
 use bytes::{Buf, BufMut};
-use nwade_aim::{PlanRequest, SchedulerState, TravelPlan};
+use nwade_aim::{PlanRequest, TravelPlan};
 use nwade_chain::Block;
 use nwade_crypto::Digest;
 use nwade_geometry::Vec2;
@@ -91,8 +91,9 @@ pub struct DurableState {
     /// warm re-attach after a failover keeps sealing with the epoch the
     /// fleet already ratcheted to.
     pub fencing_epoch: u64,
-    /// Scheduler reservation state ([`nwade_aim::Scheduler::export_state`]).
-    pub scheduler: SchedulerState,
+    /// Scheduler reservation state: the reservation-table bytes
+    /// [`nwade_aim::Scheduler::export_state`] returns.
+    pub scheduler: Vec<u8>,
     /// Published plans, sorted by vehicle id (canonical order).
     pub published: Vec<TravelPlan>,
     /// Vehicles confirmed malicious.
@@ -111,9 +112,8 @@ impl DurableState {
         buf.put_u64(self.next_index);
         buf.put_u64(self.next_request_id);
         buf.put_u64(self.fencing_epoch);
-        let sched = self.scheduler.encode();
-        buf.put_u32(sched.len() as u32);
-        buf.put_slice(&sched);
+        buf.put_u32(self.scheduler.len() as u32);
+        buf.put_slice(&self.scheduler);
         buf.put_u32(self.published.len() as u32);
         for plan in &self.published {
             buf.put_slice(&plan.encode());
@@ -147,7 +147,7 @@ impl DurableState {
         if cursor.remaining() < sched_len {
             return None;
         }
-        let scheduler = SchedulerState::decode(&cursor[..sched_len])?;
+        let scheduler = cursor[..sched_len].to_vec();
         cursor = &cursor[sched_len..];
         let n = cursor.try_get_u32().ok()? as usize;
         let mut published = Vec::with_capacity(n.min(1024));
@@ -944,7 +944,7 @@ mod tests {
         // whose snapshot record decodes but whose table bytes are junk.
         let mut m = manager();
         let mut state = m.durable_state();
-        state.scheduler.table = vec![0xFF; 7];
+        state.scheduler = vec![0xFF; 7];
         let forged = MemBackend::new();
         {
             let (mut wal, _) = Wal::open(Box::new(forged.clone())).unwrap();

@@ -1,12 +1,11 @@
-//! Spatio-temporal conflict detection between trajectories.
+//! Time intervals a motion profile spends on a stretch of its path.
 //!
-//! A *trajectory* is a (path, motion profile, footprint) triple. Two
-//! trajectories conflict when the moving footprints come closer than their
-//! combined collision distance at any common instant. This is the check a
-//! vehicle runs on a received block of travel plans (Algorithm 1 step ii)
-//! and the invariant the AIM scheduler must maintain.
+//! A vehicle occupies a conflict zone from the instant its profile
+//! reaches the zone's entry to the instant it reaches the exit.
+//! `nwade-aim` books these intervals per zone cell; two plans conflict
+//! when their intervals on one cell overlap (with a safety gap).
 
-use crate::{Footprint, MotionProfile, Path};
+use crate::MotionProfile;
 use serde::{Deserialize, Serialize};
 
 /// A closed time interval `[start, end]` in seconds.
@@ -59,106 +58,9 @@ pub fn occupancy_interval(profile: &MotionProfile, s0: f64, s1: f64) -> Option<T
     Some(TimeInterval::new(entry, exit.max(entry)))
 }
 
-/// Configuration of the sampling conflict checker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConflictCheck {
-    /// Sampling period in seconds.
-    pub dt: f64,
-    /// How far into the future to check, from the later profile start.
-    pub horizon: f64,
-}
-
-impl Default for ConflictCheck {
-    fn default() -> Self {
-        // 100 ms sampling over a two-minute horizon covers any crossing of
-        // a single intersection at the paper's speeds.
-        ConflictCheck {
-            dt: 0.1,
-            horizon: 120.0,
-        }
-    }
-}
-
-impl ConflictCheck {
-    /// Creates a checker with the given sampling period and horizon.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either parameter is non-positive.
-    pub fn new(dt: f64, horizon: f64) -> Self {
-        assert!(dt > 0.0 && horizon > 0.0, "dt and horizon must be positive");
-        ConflictCheck { dt, horizon }
-    }
-
-    /// Returns the first time at which the two trajectories come within
-    /// collision distance, or `None` when they never do within the horizon.
-    pub fn first_conflict(
-        &self,
-        a: (&Path, &MotionProfile, &Footprint),
-        b: (&Path, &MotionProfile, &Footprint),
-    ) -> Option<f64> {
-        let (path_a, prof_a, fp_a) = a;
-        let (path_b, prof_b, fp_b) = b;
-        let min_dist = fp_a.collision_distance(fp_b);
-        let min_dist_sq = min_dist * min_dist;
-        let t0 = prof_a.start_time().max(prof_b.start_time());
-        // A vehicle that has travelled past the end of its path has left
-        // the conflict area entirely; stop checking once either exits.
-        let exit_a = prof_a
-            .time_at_position(path_a.length())
-            .unwrap_or(f64::INFINITY);
-        let exit_b = prof_b
-            .time_at_position(path_b.length())
-            .unwrap_or(f64::INFINITY);
-        let t_end = (t0 + self.horizon).min(exit_a).min(exit_b);
-        let mut t = t0;
-        while t <= t_end {
-            let pa = path_a.point_at(prof_a.position_at(t));
-            let pb = path_b.point_at(prof_b.position_at(t));
-            if pa.distance_sq(pb) < min_dist_sq {
-                return Some(t);
-            }
-            // Skip ahead proportionally to the separation: the gap closes
-            // at most at twice the speed limit (~45 m/s), so a large gap
-            // cannot vanish within one coarse step.
-            let gap = pa.distance(pb) - min_dist;
-            let skip = (gap / 90.0).max(self.dt);
-            t += skip;
-        }
-        None
-    }
-
-    /// `true` when the trajectories conflict within the horizon.
-    pub fn conflicts(
-        &self,
-        a: (&Path, &MotionProfile, &Footprint),
-        b: (&Path, &MotionProfile, &Footprint),
-    ) -> bool {
-        self.first_conflict(a, b).is_some()
-    }
-}
-
-/// Convenience wrapper: checks two trajectories with the default
-/// [`ConflictCheck`].
-pub fn trajectories_conflict(
-    a: (&Path, &MotionProfile, &Footprint),
-    b: (&Path, &MotionProfile, &Footprint),
-) -> bool {
-    ConflictCheck::default().conflicts(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Vec2;
-
-    fn east_path() -> Path {
-        Path::line(Vec2::new(-100.0, 0.0), Vec2::new(100.0, 0.0))
-    }
-
-    fn north_path() -> Path {
-        Path::line(Vec2::new(0.0, -100.0), Vec2::new(0.0, 100.0))
-    }
 
     #[test]
     fn interval_overlap_rules() {
@@ -195,80 +97,5 @@ mod tests {
         // Stops *inside* [20, 40]: exit is infinite.
         let iv = occupancy_interval(&prof, 20.0, 40.0).expect("enters zone");
         assert!(iv.end.is_infinite());
-    }
-
-    #[test]
-    fn crossing_vehicles_meeting_at_center_conflict() {
-        // Both arrive at the origin at t = 10 s.
-        let a = (east_path(), MotionProfile::cruise(0.0, 10.0, 200.0));
-        let b = (north_path(), MotionProfile::cruise(0.0, 10.0, 200.0));
-        let fp = Footprint::CAR;
-        assert!(trajectories_conflict((&a.0, &a.1, &fp), (&b.0, &b.1, &fp)));
-    }
-
-    #[test]
-    fn staggered_vehicles_do_not_conflict() {
-        // Second vehicle starts 8 s later: they miss each other at the
-        // origin by 80 m.
-        let a = (east_path(), MotionProfile::cruise(0.0, 10.0, 200.0));
-        let b = (north_path(), MotionProfile::cruise(8.0, 10.0, 200.0));
-        let fp = Footprint::CAR;
-        assert!(!trajectories_conflict((&a.0, &a.1, &fp), (&b.0, &b.1, &fp)));
-    }
-
-    #[test]
-    fn same_lane_followers_with_headway_do_not_conflict() {
-        let path = east_path();
-        let lead = MotionProfile::cruise(0.0, 10.0, 200.0);
-        // Follower starts 3 s behind: 30 m headway at equal speed.
-        let follow = MotionProfile::cruise(3.0, 10.0, 200.0);
-        let fp = Footprint::CAR;
-        assert!(!trajectories_conflict(
-            (&path, &lead, &fp),
-            (&path, &follow, &fp)
-        ));
-    }
-
-    #[test]
-    fn rear_end_collision_detected() {
-        let path = east_path();
-        let lead = MotionProfile::brake_to_stop(0.0, 50.0, 10.0, 3.0);
-        // Follower cruises from the path start and plows into the stopped
-        // leader.
-        let follow = MotionProfile::cruise(0.0, 15.0, 200.0);
-        let fp = Footprint::CAR;
-        let t = ConflictCheck::default()
-            .first_conflict((&path, &follow, &fp), (&path, &lead, &fp))
-            .expect("rear-end collision");
-        assert!(t > 0.0 && t < 20.0, "collision at t={t}");
-    }
-
-    #[test]
-    fn first_conflict_time_is_accurate() {
-        // Head-on: A eastbound from -100 at 10 m/s, B westbound... our
-        // paths only move forward, so emulate with two east paths offset.
-        let pa = Path::line(Vec2::new(0.0, 0.0), Vec2::new(200.0, 0.0));
-        let pb = Path::line(Vec2::new(100.0, 0.0), Vec2::new(100.0, 0.001));
-        let a = MotionProfile::cruise(0.0, 10.0, 200.0);
-        let b = MotionProfile::stopped(0.0, 0.0);
-        let fp = Footprint::CAR;
-        let t = ConflictCheck::default()
-            .first_conflict((&pa, &a, &fp), (&pb, &b, &fp))
-            .expect("collides with the parked car");
-        // Collision distance for two cars ≈ 5.16 m; reaching x≈94.8 m at
-        // 10 m/s happens at ≈ 9.5 s.
-        assert!((t - 9.48).abs() < 0.2, "collision at t={t}");
-    }
-
-    #[test]
-    fn checker_respects_horizon() {
-        let a = (east_path(), MotionProfile::cruise(0.0, 1.0, 200.0));
-        let b = (north_path(), MotionProfile::cruise(0.0, 1.0, 200.0));
-        let fp = Footprint::CAR;
-        // Meeting at t=100 s; a 10 s horizon cannot see it.
-        let short = ConflictCheck::new(0.1, 10.0);
-        assert!(!short.conflicts((&a.0, &a.1, &fp), (&b.0, &b.1, &fp)));
-        let long = ConflictCheck::new(0.1, 150.0);
-        assert!(long.conflicts((&a.0, &a.1, &fp), (&b.0, &b.1, &fp)));
     }
 }

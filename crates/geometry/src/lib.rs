@@ -1,5 +1,5 @@
-//! 2-D geometry, kinematic motion profiles and trajectory conflict detection
-//! for the NWADE reproduction.
+//! 2-D geometry and kinematic motion profiles for the NWADE
+//! reproduction.
 //!
 //! This crate is the lowest-level substrate of the workspace. It knows
 //! nothing about vehicles, intersections or security — it provides:
@@ -7,7 +7,9 @@
 //! * [`Vec2`] and unit conversions ([`units`]) used everywhere above,
 //! * composable paths ([`Path`]) made of line segments and circular arcs,
 //! * piecewise-constant-acceleration [`MotionProfile`]s along a path,
-//! * spatio-temporal [`conflict`] detection between two moving footprints,
+//! * the time intervals a profile occupies a stretch of its path
+//!   ([`occupancy_interval`]), from which `nwade-aim` builds its zone
+//!   reservations and conflict checks,
 //! * brute-force and grid-based [`range`] queries used for sensing,
 //! * a fixed integer hasher for maps keyed by grid cells ([`cell_hash`]).
 //!
@@ -30,7 +32,6 @@
 pub mod arc;
 pub mod cell_hash;
 pub mod conflict;
-pub mod footprint;
 pub mod path;
 pub mod profile;
 pub mod range;
@@ -40,8 +41,7 @@ pub mod vec2;
 
 pub use arc::Arc;
 pub use cell_hash::CellMap;
-pub use conflict::{occupancy_interval, trajectories_conflict, ConflictCheck, TimeInterval};
-pub use footprint::Footprint;
+pub use conflict::{occupancy_interval, TimeInterval};
 pub use path::{Path, PathBuilder, PathElement};
 pub use profile::{MotionProfile, ProfileSegment};
 pub use range::{within_radius, GridIndex};

@@ -1,48 +1,10 @@
-//! Property tests for the conflict checker's public API.
+//! Property tests for the occupancy intervals zone reservations are
+//! built from.
 
-use nwade_geometry::{
-    occupancy_interval, trajectories_conflict, Footprint, MotionProfile, Path, Vec2,
-};
+use nwade_geometry::{occupancy_interval, MotionProfile};
 use proptest::prelude::*;
 
 proptest! {
-    /// Conflict is symmetric.
-    #[test]
-    fn conflict_is_symmetric(
-        speed_a in 3.0..25.0f64,
-        speed_b in 3.0..25.0f64,
-        start_b in 0.0..20.0f64,
-    ) {
-        let pa = Path::line(Vec2::new(-150.0, 0.0), Vec2::new(150.0, 0.0));
-        let pb = Path::line(Vec2::new(0.0, -150.0), Vec2::new(0.0, 150.0));
-        let a = MotionProfile::cruise(0.0, speed_a, pa.length());
-        let b = MotionProfile::cruise(start_b, speed_b, pb.length());
-        let fp = Footprint::CAR;
-        prop_assert_eq!(
-            trajectories_conflict((&pa, &a, &fp), (&pb, &b, &fp)),
-            trajectories_conflict((&pb, &b, &fp), (&pa, &a, &fp))
-        );
-    }
-
-    /// Two vehicles on the same line, same speed, sufficiently staggered:
-    /// never a conflict; insufficient stagger: always a conflict.
-    #[test]
-    fn stagger_threshold(speed in 5.0..25.0f64, stagger in 0.0..10.0f64) {
-        let p = Path::line(Vec2::new(0.0, 0.0), Vec2::new(300.0, 0.0));
-        let lead = MotionProfile::cruise(0.0, speed, p.length());
-        let follow = MotionProfile::cruise(stagger, speed, p.length());
-        let fp = Footprint::CAR;
-        let spatial_gap = speed * stagger;
-        let collision = fp.collision_distance(&fp);
-        let conflict = trajectories_conflict((&p, &lead, &fp), (&p, &follow, &fp));
-        if spatial_gap > collision + 1.0 {
-            prop_assert!(!conflict, "gap {spatial_gap:.1} m should be safe");
-        }
-        if spatial_gap < collision - 1.0 {
-            prop_assert!(conflict, "gap {spatial_gap:.1} m should collide");
-        }
-    }
-
     /// Occupancy intervals nest: a sub-range's interval lies within the
     /// full range's interval.
     #[test]

@@ -7,18 +7,6 @@ use nwade_intersection::{GeometryConfig, IntersectionKind};
 use nwade_traffic::{KinematicLimits, TurnMix};
 use nwade_vanet::MediumConfig;
 
-/// Which AIM scheduler drives the intersection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerChoice {
-    /// The reservation scheduler (DASH stand-in, the paper's host
-    /// system).
-    Reservation,
-    /// The full-lock FCFS baseline.
-    Fcfs,
-    /// The fixed-cycle traffic-light baseline.
-    TrafficLight,
-}
-
 /// Which signature scheme signs blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SignatureChoice {
@@ -145,8 +133,6 @@ pub struct SimConfig {
     pub medium: MediumConfig,
     /// Vehicle kinematics.
     pub limits: KinematicLimits,
-    /// Scheduler choice.
-    pub scheduler: SchedulerChoice,
     /// When `false`, the NWADE layer is disabled entirely: no blocks, no
     /// watching, no reports — the Fig. 8 "without NWADE" baseline.
     pub nwade_enabled: bool,
@@ -193,7 +179,6 @@ impl Default for SimConfig {
             nwade: NwadeConfig::default(),
             medium: MediumConfig::default(),
             limits: KinematicLimits::default(),
-            scheduler: SchedulerChoice::Reservation,
             nwade_enabled: true,
             attack: None,
             adversary: None,

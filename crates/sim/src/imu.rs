@@ -20,17 +20,14 @@
 //!   `standby.zombie_delay`, the dead primary was only slow and seals one
 //!   late, stale-epoch block that the fleet must fence off.
 
-use crate::config::{CrashPlan, ImOutage, SchedulerChoice, SimConfig};
+use crate::config::{CrashPlan, ImOutage, SimConfig};
 use crate::metrics::SimMetrics;
 use nwade::messages::IncidentReport;
 use nwade::{
     CrashPoint, ImPersistence, ManagerAction, NwadeManager, RecoveryOutcome, StandbyManager,
     StandbyPolicy,
 };
-use nwade_aim::{
-    corrupt, FcfsScheduler, PlanRequest, ReservationScheduler, Scheduler, SchedulerConfig,
-    TrafficLightScheduler,
-};
+use nwade_aim::{corrupt, PlanRequest, ReservationScheduler, SchedulerConfig};
 use nwade_chain::{tamper, Block};
 use nwade_crypto::SignatureScheme;
 use nwade_geometry::Vec2;
@@ -126,7 +123,7 @@ pub(crate) struct TickStart {
     pub(crate) zombie: Option<Block>,
 }
 
-/// Builds the manager + scheduler stack from the config (at construction,
+/// Builds the manager over a reservation scheduler (at construction,
 /// and again when a warm recovery rebuilds it from the store).
 fn build_manager(
     config: &SimConfig,
@@ -137,17 +134,7 @@ fn build_manager(
         limits: config.limits,
         ..SchedulerConfig::default()
     };
-    let scheduler: Box<dyn Scheduler + Send> = match config.scheduler {
-        SchedulerChoice::Reservation => {
-            Box::new(ReservationScheduler::new(topo.clone(), sched_cfg))
-        }
-        SchedulerChoice::Fcfs => Box::new(FcfsScheduler::new(topo.clone(), sched_cfg)),
-        SchedulerChoice::TrafficLight => Box::new(TrafficLightScheduler::new(
-            topo.clone(),
-            sched_cfg,
-            Default::default(),
-        )),
-    };
+    let scheduler = Box::new(ReservationScheduler::new(topo.clone(), sched_cfg));
     NwadeManager::new(topo.clone(), scheduler, scheme.clone(), config.nwade)
 }
 

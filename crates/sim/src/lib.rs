@@ -40,8 +40,7 @@ pub use adversary::{
 };
 pub use city::{CityConfig, CityGrid, CityReport, LinkSpec, ShardStats};
 pub use config::{
-    AttackPlan, CrashPlan, ImOutage, SchedulerChoice, SignatureChoice, SimConfig, StandbyConfig,
-    StoreConfig,
+    AttackPlan, CrashPlan, ImOutage, SignatureChoice, SimConfig, StandbyConfig, StoreConfig,
 };
 pub use history::{
     Incident, IncidentKind, ReplayError, ReplayReport, WorldHistory, DEFAULT_CAPACITY,

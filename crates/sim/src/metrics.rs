@@ -10,8 +10,6 @@ pub struct SimMetrics {
     pub spawned: usize,
     /// Vehicles that exited the modeled area.
     pub exited: usize,
-    /// Exited vehicles that were benign.
-    pub exited_benign: usize,
     /// Time the attack was injected.
     pub attack_start: Option<f64>,
     /// First benign incident report naming the true violator.
@@ -125,16 +123,6 @@ pub struct SimMetrics {
     /// Always 0: no window defers a request to a later one. Kept because
     /// the benchmark reports it.
     pub admission_deferred: usize,
-    /// Requests dropped outright by the cap of
-    /// [`Simulation::enqueue_plan_requests`](crate::Simulation::enqueue_plan_requests)
-    /// (never queued).
-    pub requests_shed: usize,
-    /// Calls of `Simulation::enqueue_plan_requests` whose cap dropped at
-    /// least one request.
-    pub shed_windows: usize,
-    /// Requests the most recent `Simulation::enqueue_plan_requests` cap
-    /// dropped; reset to 0 when a window takes the queue.
-    pub last_window_shed_gap: usize,
     /// Plan count of every broadcast block (drives the Fig. 6 harness).
     pub block_sizes: Vec<usize>,
     /// Vehicles handed off to a neighbouring intersection across a city

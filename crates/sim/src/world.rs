@@ -483,11 +483,10 @@ impl Simulation {
     /// the cap binds, the batch is cut by *deadline* (soonest predicted
     /// box arrival first, vehicle ID breaking ties) rather than by map
     /// iteration order, so the selection is deterministic and never
-    /// starves the vehicles closest to the stop line. The shed gap is
-    /// exported through [`SimMetrics`] (`requests_shed`,
-    /// `last_window_shed_gap`) so a binding cap is never silent. Pairs
-    /// with [`Simulation::force_process_window`] to measure
-    /// window-processing latency at a controlled request count.
+    /// starves the vehicles closest to the stop line; the caller sees
+    /// the cut in the returned pair. Pairs with
+    /// [`Simulation::force_process_window`] to measure window-processing
+    /// latency at a controlled request count.
     pub fn enqueue_plan_requests(&mut self, max: usize) -> (usize, usize) {
         let now = self.now;
         let mut candidates: Vec<(f64, PlanRequest)> = self
@@ -508,12 +507,6 @@ impl Simulation {
         let queued = candidates.len();
         for (_, req) in candidates {
             self.pending_requests.push((now, req));
-        }
-        let shed = offered - queued;
-        self.metrics.requests_shed += shed;
-        self.metrics.last_window_shed_gap = shed;
-        if shed > 0 {
-            self.metrics.shed_windows += 1;
         }
         (offered, queued)
     }
@@ -1515,11 +1508,11 @@ impl Simulation {
     }
 
     fn finalize_exit(&mut self, id: u64) {
-        let (benign, handoff) = {
+        let handoff = {
             let agent = self.vehicles.get_mut(&id).expect("exiting vehicle exists");
             agent.guard.on_exit();
             let exit_leg = self.topo.movement(agent.movement).to_leg();
-            let handoff = self.boundary_exits.contains(&exit_leg).then(|| Handoff {
+            self.boundary_exits.contains(&exit_leg).then(|| Handoff {
                 id: agent.id,
                 // Stalled vehicles still roll onto the connecting road.
                 speed: agent.speed.max(1.0),
@@ -1527,8 +1520,7 @@ impl Simulation {
                 role: agent.role,
                 false_reports: 0, // filled in below, outside the borrow
                 exit_leg,
-            });
-            (agent.role == Role::Benign, handoff)
+            })
         };
         self.medium.remove_node(NodeId::Vehicle(id));
         // Ledger standing must be read before the release below (which
@@ -1544,12 +1536,7 @@ impl Simulation {
                 self.outbound_handoffs.push(h);
                 self.metrics.handoffs_out += 1;
             }
-            None => {
-                self.metrics.exited += 1;
-                if benign {
-                    self.metrics.exited_benign += 1;
-                }
-            }
+            None => self.metrics.exited += 1,
         }
     }
 
@@ -2220,7 +2207,6 @@ impl Simulation {
         let offered = self.pending_requests.len();
         self.metrics.admission_offered += offered;
         self.metrics.admission_admitted += offered;
-        self.metrics.last_window_shed_gap = 0;
         self.pending_requests
             .drain(..)
             .map(|(arrival, mut req)| {

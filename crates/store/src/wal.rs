@@ -27,6 +27,43 @@ pub const FRAME_HEADER: usize = 4 + 32;
 /// treated as tail corruption.
 pub const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
 
+/// The frame at the head of a byte slice, as both readers of the log
+/// classify it.
+enum Frame<'a> {
+    /// A whole frame whose checksum matches: its payload.
+    Whole(&'a [u8]),
+    /// The bytes end before the frame does (an empty slice included):
+    /// an append in flight, or the torn tail of a crash.
+    Partial,
+    /// A zero or oversized length field, or a payload that fails its
+    /// checksum: no later write can make this frame whole.
+    Bad,
+}
+
+/// Parses the frame at the head of `bytes`. The length field is checked
+/// before the header is known to be complete, so an absurd length is
+/// [`Frame::Bad`] even when the rest of the frame is missing.
+fn next_frame(bytes: &[u8]) -> Frame<'_> {
+    let mut cursor = bytes;
+    let Ok(len) = cursor.try_get_u32() else {
+        return Frame::Partial;
+    };
+    if len == 0 || len > MAX_RECORD_LEN {
+        return Frame::Bad;
+    }
+    let mut digest = [0u8; 32];
+    if cursor.try_copy_to_slice(&mut digest).is_err() {
+        return Frame::Partial;
+    }
+    let Some(payload) = cursor.get(..len as usize) else {
+        return Frame::Partial;
+    };
+    if sha256(payload).0 != digest {
+        return Frame::Bad;
+    }
+    Frame::Whole(payload)
+}
+
 /// What [`Wal::open`] found on the device.
 #[derive(Debug)]
 pub struct Recovery {
@@ -69,28 +106,9 @@ impl Wal {
         let bytes = backend.read_all()?;
         let mut records = Vec::new();
         let mut offset = 0usize;
-        loop {
-            let mut cursor: &[u8] = &bytes[offset..];
-            let Ok(len) = cursor.try_get_u32() else {
-                break;
-            };
-            if len == 0 || len > MAX_RECORD_LEN {
-                break;
-            }
-            let mut digest = [0u8; 32];
-            if cursor.try_copy_to_slice(&mut digest).is_err() {
-                break;
-            }
-            let len = len as usize;
-            if cursor.remaining() < len {
-                break;
-            }
-            let payload = &cursor[..len];
-            if sha256(payload).0 != digest {
-                break;
-            }
+        while let Frame::Whole(payload) = next_frame(&bytes[offset..]) {
             records.push(payload.to_vec());
-            offset += FRAME_HEADER + len;
+            offset += FRAME_HEADER + payload.len();
         }
         let valid_len = offset as u64;
         let truncated = bytes.len() as u64 - valid_len;
@@ -280,29 +298,17 @@ impl WalFollower {
         let mut cursor: &[u8] = &bytes[..span];
         let mut records = Vec::new();
         loop {
-            let mut frame = cursor;
-            let Ok(len) = frame.try_get_u32() else {
-                break; // partial length prefix: wait
-            };
-            if len == 0 || len > MAX_RECORD_LEN {
-                self.corrupt = true;
-                break;
+            match next_frame(cursor) {
+                Frame::Whole(payload) => {
+                    records.push(payload.to_vec());
+                    cursor = &cursor[FRAME_HEADER + payload.len()..];
+                }
+                Frame::Partial => break, // in flight or torn: wait
+                Frame::Bad => {
+                    self.corrupt = true;
+                    break;
+                }
             }
-            let mut digest = [0u8; 32];
-            if frame.try_copy_to_slice(&mut digest).is_err() {
-                break; // partial checksum: wait
-            }
-            let len = len as usize;
-            if frame.remaining() < len {
-                break; // partial payload: wait
-            }
-            let payload = &frame[..len];
-            if sha256(payload).0 != digest {
-                self.corrupt = true;
-                break;
-            }
-            records.push(payload.to_vec());
-            cursor = &cursor[FRAME_HEADER + len..];
         }
         Ok(records)
     }

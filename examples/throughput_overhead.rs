@@ -1,11 +1,11 @@
-//! Fig. 8 in miniature: throughput with and without the NWADE layer, and
-//! the two baseline schedulers, on the 4-way cross.
+//! Fig. 8 in miniature: throughput with and without the NWADE layer on
+//! the 4-way cross.
 //!
 //! ```text
 //! cargo run --release --example throughput_overhead
 //! ```
 
-use nwade_repro::sim::{SchedulerChoice, SimConfig, Simulation};
+use nwade_repro::sim::{SimConfig, Simulation};
 
 fn run(label: &str, configure: impl FnOnce(&mut SimConfig)) {
     let mut config = SimConfig::default();
@@ -26,10 +26,4 @@ fn main() {
     println!("offered load: 80 veh/min, 180 s, 4-way cross\n");
     run("reservation + NWADE", |_| {});
     run("reservation, no NWADE", |c| c.nwade_enabled = false);
-    run("FCFS full lock + NWADE", |c| {
-        c.scheduler = SchedulerChoice::Fcfs;
-    });
-    run("traffic light + NWADE", |c| {
-        c.scheduler = SchedulerChoice::TrafficLight;
-    });
 }

@@ -26,8 +26,7 @@ use common::{assert_pinned, attack, config, sim_digest, ticks, StreamDigest};
 use nwade_repro::nwade::attack::{AttackSetting, ViolationKind};
 use nwade_repro::nwade::CrashPoint;
 use nwade_repro::sim::{
-    CityConfig, CityGrid, CrashPlan, ImOutage, SchedulerChoice, SignatureChoice, SimConfig,
-    Simulation,
+    CityConfig, CityGrid, CrashPlan, ImOutage, SignatureChoice, SimConfig, Simulation,
 };
 
 /// Digest of a `shards`-shard ring city run for `base.duration`.
@@ -77,13 +76,6 @@ fn short_outage_is_pinned() {
         duration: 6.0,
     });
     assert_pinned("chaos-outage", sim_digest(c), 0x85b9_0d60_fa9c_9950);
-}
-
-#[test]
-fn fcfs_scheduler_is_pinned() {
-    let mut c = config(90.0, 70.0, 2024);
-    c.scheduler = SchedulerChoice::Fcfs;
-    assert_pinned("fcfs", sim_digest(c), 0x599b_f88c_bb2a_d0b2);
 }
 
 #[test]

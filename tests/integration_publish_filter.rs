@@ -3,8 +3,8 @@
 //! was damaged on purpose.
 
 use nwade_repro::aim::{
-    find_conflicts, PlanRequest, ReservationScheduler, Scheduler, SchedulerConfig, SchedulerState,
-    TravelPlan, VehicleStatus,
+    find_conflicts, PlanRequest, ReservationScheduler, Scheduler, SchedulerConfig, TravelPlan,
+    VehicleStatus,
 };
 use nwade_repro::crypto::MockScheme;
 use nwade_repro::geometry::MotionProfile;
@@ -156,10 +156,10 @@ impl Scheduler for FixedBatch {
     fn topology(&self) -> &Topology {
         &self.topology
     }
-    fn export_state(&self) -> SchedulerState {
-        SchedulerState::default()
+    fn export_state(&self) -> Vec<u8> {
+        Vec::new()
     }
-    fn import_state(&mut self, _state: &SchedulerState) -> bool {
+    fn import_state(&mut self, _state: &[u8]) -> bool {
         true
     }
     fn clone_box(&self) -> Box<dyn Scheduler + Send> {

@@ -7,7 +7,7 @@
 //! to end, each test below folds the Merkle root of every published
 //! block into one digest. A root commits to every plan in its block,
 //! motion profile included, so the digest changes if any request lands
-//! in another slot: in a window, in the FCFS fallback or in an
+//! in another slot: in a window, in the park fallback or in an
 //! evacuation. The pinned values are the ones both searches produced at
 //! the last commit that had the switch.
 //!

@@ -5,7 +5,7 @@
 //! debug builds; the `expgen` harness runs the full protocol.
 
 use nwade_repro::nwade::attack::{AttackSetting, ViolationKind};
-use nwade_repro::sim::{AttackPlan, SchedulerChoice, SimConfig, Simulation};
+use nwade_repro::sim::{AttackPlan, SimConfig, Simulation};
 
 fn attacked(setting: AttackSetting, seed: u64) -> SimConfig {
     let mut config = SimConfig::default();
@@ -109,21 +109,6 @@ fn nwade_throughput_overhead_is_negligible() {
         overhead < 0.10,
         "NWADE overhead {:.1}% (with {with:.1}, without {without:.1})",
         overhead * 100.0
-    );
-}
-
-#[test]
-fn reservation_scheduler_beats_fcfs_baseline() {
-    let mut config = SimConfig::default();
-    config.duration = 150.0;
-    config.seed = 37;
-    config.density = 100.0;
-    let reservation = Simulation::new(config.clone()).run().metrics.exited;
-    config.scheduler = SchedulerChoice::Fcfs;
-    let fcfs = Simulation::new(config).run().metrics.exited;
-    assert!(
-        reservation > fcfs,
-        "reservation ({reservation}) must out-serve FCFS ({fcfs}) at high load"
     );
 }
 
