@@ -74,12 +74,6 @@ pub trait Scheduler {
     /// prior reservations of the same vehicle are replaced.
     fn book(&mut self, plan: &TravelPlan);
 
-    /// Scheduler name for reports.
-    fn name(&self) -> &'static str;
-
-    /// The topology this scheduler serves.
-    fn topology(&self) -> &Topology;
-
     /// Captures the scheduler's durable state for an IM snapshot: the
     /// [`ReservationTable::encode`] bytes of its bookings. Importing them
     /// into a freshly built scheduler yields one that behaves identically
@@ -232,14 +226,6 @@ impl Scheduler for ReservationScheduler {
         self.table.release(plan.id());
         let occupancy = occupancy_of(self.topology.movement(plan.movement()), plan.profile());
         self.table.reserve(plan.id(), &occupancy);
-    }
-
-    fn name(&self) -> &'static str {
-        "reservation"
-    }
-
-    fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     fn export_state(&self) -> Vec<u8> {

@@ -33,8 +33,7 @@ fn request(id: u64, movement: usize, speed: f64) -> PlanRequest {
     }
 }
 
-fn check_scheduler(mut s: impl Scheduler, stream: Vec<(usize, f64, f64)>) {
-    let topo = s.topology().clone();
+fn check_scheduler(mut s: impl Scheduler, topo: &Topology, stream: Vec<(usize, f64, f64)>) {
     let v_max = SchedulerConfig::default().limits.v_max;
     let mut all = Vec::new();
     let mut clock: f64 = 0.0;
@@ -45,7 +44,7 @@ fn check_scheduler(mut s: impl Scheduler, stream: Vec<(usize, f64, f64)>) {
     }
     // 1. No two emitted plans conflict.
     assert!(
-        find_conflicts(&all, &topo, 0.5).is_empty(),
+        find_conflicts(&all, topo, 0.5).is_empty(),
         "scheduler emitted conflicting plans"
     );
     for plan in &all {
@@ -216,8 +215,10 @@ proptest! {
         stream in proptest::collection::vec(
             (0usize..16, 5.0..22.0f64, 1.5..8.0f64), 1..15)
     ) {
+        let topo = topo();
         check_scheduler(
-            ReservationScheduler::new(topo(), SchedulerConfig::default()),
+            ReservationScheduler::new(topo.clone(), SchedulerConfig::default()),
+            &topo,
             stream,
         );
     }

@@ -5,8 +5,8 @@
 //! Verification is measured cold. Each rep gets a fresh cache, so the
 //! signature memo starts empty. It also gets its own decoded copy of
 //! the block, built before the clock starts. Copies of one block share
-//! its memoised plan occupancies, so reusing one block would leave
-//! every rep after the first without that work.
+//! its memoised plan occupancies and reservation table, so reusing one
+//! block would leave every rep after the first without that work.
 
 use crate::table::render;
 use nwade::verify::block::verify_incoming_block;
@@ -85,7 +85,8 @@ pub fn measure(kind: IntersectionKind, density: f64, key: &RsaScheme) -> Point {
     // Vehicle side: Algorithm 1 (signature + root + conflicts). A fresh
     // cache and a decoded copy of the block per rep keep this the
     // *uncached* verification cost: the signature memo and the shared
-    // occupancy memo would otherwise absorb every rep after the first.
+    // occupancy and table memos would otherwise absorb every rep after
+    // the first.
     let copies: Vec<Block> = (0..reps)
         .map(|_| Block::decode(&block.encode()).expect("own encoding decodes"))
         .collect();

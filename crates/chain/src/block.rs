@@ -1,14 +1,14 @@
 //! The block structure `B_i = ⟨s_i, h_{i−1}, τ_i, R_i⟩`.
 
 use bytes::{Buf, BufMut, BytesMut};
-use nwade_aim::{occupancy_of, Occupancy, TravelPlan};
+use nwade_aim::{occupancy_of, reserve_checked, Occupancy, ReservationTable, TravelPlan};
 use nwade_crypto::merkle::leaf_hash;
 use nwade_crypto::{sha256, Digest, MerkleTree};
 use nwade_intersection::Topology;
 use nwade_traffic::VehicleId;
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// A neighbour intersection's chain tip, embedded into a block for
 /// cross-shard anchoring: once block `B_i` of shard A carries shard B's
@@ -33,7 +33,8 @@ pub struct ShardAnchor {
 /// The signature and plans sit in a shared body, so the copies a
 /// broadcast makes (one per receiver, one per cache) cost a reference
 /// count, and the body memoises the plans' zone occupancies
-/// ([`Block::occupancies`]) for every copy at once.
+/// ([`Block::occupancies`]) and reservation table ([`Block::table`])
+/// for every copy at once.
 #[derive(Clone, PartialEq)]
 pub struct Block {
     index: u64,
@@ -51,6 +52,44 @@ struct Body {
     /// Each plan's zone occupancy, with the [`Topology::instance`] it was
     /// computed on. Derived data: left out of equality and encoding.
     occupancies: OnceLock<(u64, Vec<Occupancy>)>,
+    /// The last [`BlockTable`] built on the memoised topology, while
+    /// some holder keeps it alive. Derived data, like `occupancies`.
+    table: Mutex<Weak<BlockTable>>,
+}
+
+/// A block's plans booked into one reservation table, on one topology
+/// under one conflict gap, with the pairs of them that conflict
+/// (Algorithm 1, line 4): [`reserve_checked`] over
+/// [`Block::occupancies`]. Shared by every copy of the block through
+/// [`Block::table`].
+pub struct BlockTable {
+    instance: u64,
+    gap_bits: u64,
+    reservations: ReservationTable,
+    conflicts: Vec<(VehicleId, VehicleId)>,
+}
+
+impl BlockTable {
+    /// Every plan of the block, booked in plan order.
+    pub fn reservations(&self) -> &ReservationTable {
+        &self.reservations
+    }
+
+    /// The block's conflicting plan pairs, ordered and deduped exactly as
+    /// [`nwade_aim::find_conflicts`] returns them; empty when the plans
+    /// are mutually conflict-free.
+    pub fn conflicts(&self) -> &[(VehicleId, VehicleId)] {
+        &self.conflicts
+    }
+}
+
+impl fmt::Debug for BlockTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BlockTable")
+            .field("bookings", &self.reservations.len())
+            .field("conflicts", &self.conflicts.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl PartialEq for Body {
@@ -117,6 +156,7 @@ impl Block {
                 signature,
                 plans,
                 occupancies: OnceLock::new(),
+                table: Mutex::new(Weak::new()),
             }),
         }
     }
@@ -182,6 +222,58 @@ impl Block {
             Cow::Borrowed(memo)
         } else {
             Cow::Owned(compute())
+        }
+    }
+
+    /// The block's plans booked into a reservation table on `topology`
+    /// under `gap`, with their internal conflicts — the line-4 check of
+    /// Algorithm 1, whose table line 9 then probes.
+    ///
+    /// The body keeps a weak reference to the table last built on the
+    /// memoised topology of [`Block::occupancies`]. While anyone holds
+    /// the returned `Arc` (a [`crate::ChainCache`] holds the table of the
+    /// block it checked last), every copy of the block gets that same
+    /// table; once the last holder lets go, the table is freed and the
+    /// next call builds it again. Another topology, or another gap while
+    /// the memoised table lives, gets a fresh table that is not memoised.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a plan names a movement `topology` does not have.
+    pub fn table(&self, topology: &Topology, gap: f64) -> Arc<BlockTable> {
+        let occupancies = self.occupancies(topology);
+        let build = || {
+            let mut reservations = ReservationTable::new();
+            let conflicts = reserve_checked(&mut reservations, self.plans(), &occupancies, gap);
+            Arc::new(BlockTable {
+                instance: topology.instance(),
+                gap_bits: gap.to_bits(),
+                reservations,
+                conflicts,
+            })
+        };
+        if matches!(occupancies, Cow::Owned(_)) {
+            return build();
+        }
+        // The memo is one `Weak`, replaced whole, so a panic elsewhere
+        // while the lock was held cannot have left it half-written.
+        let mut memo = self
+            .body
+            .table
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        match memo.upgrade() {
+            Some(table)
+                if table.instance == topology.instance() && table.gap_bits == gap.to_bits() =>
+            {
+                table
+            }
+            Some(_) => build(),
+            None => {
+                let table = build();
+                *memo = Arc::downgrade(&table);
+                table
+            }
         }
     }
 
@@ -522,6 +614,47 @@ pub(crate) mod tests {
         let cold = Block::decode(&b.encode()).expect("decodes");
         assert_eq!(cold, b);
         assert_eq!(cold.encode(), b.encode());
+    }
+
+    #[test]
+    fn table_memo_is_shared_by_copies_and_keyed_by_topology_and_gap() {
+        let b = block();
+        let fine = build(IntersectionKind::FourWayCross, &GeometryConfig::default());
+        let coarse_cell = GeometryConfig {
+            zone_cell: GeometryConfig::default().zone_cell * 0.75,
+            ..GeometryConfig::default()
+        };
+        let coarse = build(IntersectionKind::FourWayCross, &coarse_cell);
+
+        // Every copy of the block, and a clone of the topology, get the
+        // same table while it lives.
+        let copy = b.clone();
+        let table = b.table(&fine, 0.5);
+        assert!(Arc::ptr_eq(&table, &copy.table(&fine, 0.5)));
+        assert!(Arc::ptr_eq(&table, &copy.table(&fine.clone(), 0.5)));
+        assert_eq!(
+            table.conflicts(),
+            nwade_aim::find_conflicts(b.plans(), &fine, 0.5)
+        );
+        let bookings: usize = b.occupancies(&fine).iter().map(Vec::len).sum();
+        assert_eq!(table.reservations().len(), bookings);
+
+        // Another gap or another topology gets a table of its own, built
+        // afresh on every call.
+        let other_gap = copy.table(&fine, 1.0);
+        assert!(!Arc::ptr_eq(&other_gap, &table));
+        assert!(!Arc::ptr_eq(&other_gap, &copy.table(&fine, 1.0)));
+        let other_topology = copy.table(&coarse, 0.5);
+        assert!(!Arc::ptr_eq(&other_topology, &copy.table(&coarse, 0.5)));
+
+        // The body holds the table weakly: once the last holder lets go
+        // it is freed, and the next call memoises a new one.
+        let weak = Arc::downgrade(&table);
+        drop(table);
+        assert!(weak.upgrade().is_none());
+        let rebuilt = copy.table(&fine, 1.0);
+        assert!(Arc::ptr_eq(&rebuilt, &b.table(&fine, 1.0)));
+        assert_eq!(rebuilt.conflicts(), other_gap.conflicts());
     }
 
     fn anchors() -> Vec<ShardAnchor> {

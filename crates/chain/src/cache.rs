@@ -6,7 +6,7 @@
 //! only that many recent blocks and deletes everything once it has passed
 //! the intersection.
 
-use crate::block::Block;
+use crate::block::{Block, BlockTable};
 use crate::verify::{verify_block, verify_link, BlockError};
 use nwade_aim::{Occupancy, TravelPlan};
 use nwade_crypto::{Digest, SignatureScheme};
@@ -14,6 +14,7 @@ use nwade_intersection::Topology;
 use nwade_traffic::VehicleId;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Upper bound on remembered signature verdicts; cleared wholesale when
 /// reached. Re-broadcasts cluster around recent blocks, so a periodic
@@ -27,6 +28,9 @@ const VERIFIED_SIGNATURES_BOUND: usize = 256;
 /// indexed by vehicle, and a flag records whether the current plans are
 /// known to be pairwise conflict-free ([`ChainCache::conflict_free`]),
 /// which lets Algorithm 1 check a new block against them incrementally.
+/// The cache also holds the reservation table of the block it checked
+/// last ([`ChainCache::table_of`]), which keeps that table shared with
+/// every other cache checking a copy of the block.
 #[derive(Debug, Clone, Default)]
 pub struct ChainCache {
     blocks: VecDeque<Block>,
@@ -41,6 +45,8 @@ pub struct ChainCache {
     /// The block last passed to [`ChainCache::vouch`], until the next
     /// append consumes it or a back-fill voids it.
     vouched: Option<Block>,
+    /// See [`ChainCache::table_of`].
+    checked: Option<Arc<BlockTable>>,
 }
 
 impl ChainCache {
@@ -58,6 +64,7 @@ impl ChainCache {
             current: HashMap::new(),
             conflict_free: true,
             vouched: None,
+            checked: None,
         }
     }
 
@@ -276,14 +283,26 @@ impl ChainCache {
         self.vouched = Some(block.clone());
     }
 
+    /// `block`'s reservation table on `topology` under `gap`
+    /// ([`Block::table`]), held by this cache until it asks for another
+    /// block's table or is cleared. A table thus lives while some cache
+    /// still has its block as the newest one checked, and every other
+    /// cache checking a copy of the block in that time reuses it.
+    pub fn table_of(&mut self, block: &Block, topology: &Topology, gap: f64) -> Arc<BlockTable> {
+        let table = block.table(topology, gap);
+        self.checked = Some(Arc::clone(&table));
+        table
+    }
+
     /// Clears the cache (vehicle has left the intersection), including
-    /// remembered signature verdicts.
+    /// remembered signature verdicts and the held block table.
     pub fn clear(&mut self) {
         self.blocks.clear();
         self.verified.clear();
         self.current.clear();
         self.conflict_free = true;
         self.vouched = None;
+        self.checked = None;
     }
 }
 

@@ -11,7 +11,8 @@
 //! `h_{i−1}` the SHA-256 hash of the previous block, `τ_i` the timestamp
 //! and `R_i` the Merkle root of the window's travel plans (Fig. 3).
 //!
-//! * [`Block`] — the block structure with its hashing rules,
+//! * [`Block`] — the block structure with its hashing rules, and
+//!   [`BlockTable`], its plans' reservation table, shared by every copy,
 //! * [`BlockPackager`] — the manager-side packaging state machine,
 //! * [`verify`] — the cryptographic checks of Algorithm 1 (signature,
 //!   root, linkage); the *semantic* conflict check lives in the NWADE
@@ -28,7 +29,7 @@ pub mod package;
 pub mod tamper;
 pub mod verify;
 
-pub use block::{Block, ShardAnchor};
+pub use block::{Block, BlockTable, ShardAnchor};
 pub use cache::ChainCache;
 pub use package::BlockPackager;
 pub use verify::{verify_block, verify_link, BlockError};

@@ -53,7 +53,7 @@ pub mod verify;
 pub use attack::{AttackSetting, ViolationKind};
 pub use config::NwadeConfig;
 pub use guard::{EvacuationCause, GuardAction, VehicleGuard};
-pub use manager::{ManagerAction, NwadeManager};
+pub use manager::{publish_filter, FilteredBatch, ManagerAction, NwadeManager};
 pub use messages::{GlobalClaim, GlobalReport, IncidentReport, NwadeMessage, Observation};
 pub use persist::{
     CrashPoint, DurableState, ImPersistence, RecoveryOutcome, WalRecord, WarmRecovery,

@@ -10,7 +10,10 @@ use crate::fsm::im::{ImEvent, ImState};
 use crate::messages::IncidentReport;
 use crate::verify::report::{ReportDecision, ReportVerification};
 use nwade_aim::evacuation::{EvacuationConfig, EvacuationPlanner};
-use nwade_aim::{find_conflicts, PlanRequest, Scheduler, TravelPlan};
+use nwade_aim::{
+    find_conflicts, occupancy_into, occupancy_of, reserve_checked, Occupancy, PlanRequest,
+    ReservationTable, Scheduler, TravelPlan,
+};
 use nwade_chain::{Block, BlockPackager, ShardAnchor};
 use nwade_crypto::{Digest, SignatureScheme};
 use nwade_geometry::Vec2;
@@ -65,6 +68,68 @@ struct PendingVerification {
     reporters: Vec<VehicleId>,
 }
 
+/// What [`publish_filter`] makes of a batch.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FilteredBatch {
+    /// The batch plans that may be published, in batch order.
+    pub kept: Vec<TravelPlan>,
+    /// The vehicle of each dropped plan, in the order the plans were
+    /// dropped; the manager releases their reservations in this order.
+    pub dropped: Vec<VehicleId>,
+}
+
+/// The manager's publish filter, from scratch. Each round merges `batch`
+/// into the `published` plans by vehicle id (a vehicle's last plan in the
+/// batch wins), runs [`find_conflicts`] over the merged set in vehicle-id
+/// order, and drops every batch plan a conflict pair names (of a vehicle
+/// listed twice, the first of its plans still in the batch). Rounds
+/// repeat until one finds no conflict, drops nothing, or empties the
+/// batch.
+///
+/// The fallback of [`NwadeManager`]'s incremental filter, and the oracle
+/// it is tested against. A round drops only batch plans that conflict
+/// with another plan of the merged set, so when no batch plan does, the
+/// whole batch is kept and nothing is released, whatever conflicts the
+/// published plans have among themselves.
+pub fn publish_filter(
+    published: &BTreeMap<VehicleId, TravelPlan>,
+    mut batch: Vec<TravelPlan>,
+    topology: &Topology,
+    gap: f64,
+) -> FilteredBatch {
+    let mut dropped = Vec::new();
+    loop {
+        let mut merged = published.clone();
+        for p in &batch {
+            merged.insert(p.id(), p.clone());
+        }
+        let merged_plans: Vec<TravelPlan> = merged.into_values().collect();
+        let conflicts = find_conflicts(&merged_plans, topology, gap);
+        if conflicts.is_empty() {
+            return FilteredBatch {
+                kept: batch,
+                dropped,
+            };
+        }
+        let before = batch.len();
+        for (a, b) in &conflicts {
+            for id in [a, b] {
+                if let Some(pos) = batch.iter().position(|p| p.id() == *id) {
+                    dropped.push(batch.remove(pos).id());
+                }
+            }
+        }
+        if batch.len() == before || batch.is_empty() {
+            // Conflict among already-published plans (cannot happen for
+            // an honest history) or nothing left to drop.
+            return FilteredBatch {
+                kept: batch,
+                dropped,
+            };
+        }
+    }
+}
+
 /// The manager-side engine.
 ///
 /// `Clone` deep-copies everything — scheduler (via
@@ -110,7 +175,6 @@ impl std::fmt::Debug for NwadeManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NwadeManager")
             .field("state", &self.state)
-            .field("scheduler", &self.scheduler.name())
             .field("pending", &self.pending.len())
             .finish()
     }
@@ -225,32 +289,60 @@ impl NwadeManager {
     /// Dropped vehicles keep their previous plan and are re-planned in a
     /// later window; an honest manager must never sign a block its own
     /// vehicles would reject.
-    fn drop_unpublishable(&mut self, mut plans: Vec<TravelPlan>) -> Vec<TravelPlan> {
-        loop {
-            let mut merged = self.published.clone();
-            for p in &plans {
-                merged.insert(p.id(), p.clone());
-            }
-            let merged_plans: Vec<TravelPlan> = merged.into_values().collect();
-            let conflicts = find_conflicts(&merged_plans, &self.topology, self.config.conflict_gap);
-            if conflicts.is_empty() {
-                return plans;
-            }
-            let before = plans.len();
-            for (a, b) in &conflicts {
-                for id in [a, b] {
-                    if let Some(pos) = plans.iter().position(|p| p.id() == *id) {
-                        let dropped = plans.remove(pos);
-                        self.scheduler.release(dropped.id());
-                    }
-                }
-            }
-            if plans.len() == before || plans.is_empty() {
-                // Conflict among already-published plans (cannot happen
-                // for an honest history) or nothing left to drop.
-                return plans;
-            }
+    ///
+    /// The filter is incremental. The from-scratch filter,
+    /// [`publish_filter`], keeps the whole batch exactly when no batch
+    /// plan conflicts with another batch plan or with a published plan
+    /// the batch does not re-plan; [`NwadeManager::batch_is_clean`]
+    /// checks just those pairs, more strictly than the merge. Only when it
+    /// finds a conflict does [`publish_filter`] run to decide what to
+    /// drop.
+    fn drop_unpublishable(&mut self, plans: Vec<TravelPlan>) -> Vec<TravelPlan> {
+        if self.batch_is_clean(&plans) {
+            return plans;
         }
+        let filtered = publish_filter(
+            &self.published,
+            plans,
+            &self.topology,
+            self.config.conflict_gap,
+        );
+        for vehicle in &filtered.dropped {
+            self.scheduler.release(*vehicle);
+        }
+        filtered.kept
+    }
+
+    /// `true` when `plans` conflict neither with each other nor with any
+    /// published plan they do not re-plan. The batch is booked into a
+    /// table of its own, which each such published plan then probes;
+    /// nothing is cloned. Every plan of the batch is booked, also a
+    /// vehicle's earlier plan that the merge would replace, so the check
+    /// is stricter than [`publish_filter`]'s first round.
+    fn batch_is_clean(&self, plans: &[TravelPlan]) -> bool {
+        let gap = self.config.conflict_gap;
+        let occupancies: Vec<Occupancy> = plans
+            .iter()
+            .map(|p| occupancy_of(self.topology.movement(p.movement()), p.profile()))
+            .collect();
+        let mut table = ReservationTable::new();
+        if !reserve_checked(&mut table, plans, &occupancies, gap).is_empty() {
+            return false;
+        }
+        let mut replanned: Vec<VehicleId> = plans.iter().map(TravelPlan::id).collect();
+        replanned.sort_unstable();
+        let mut occupancy = Occupancy::new();
+        self.published
+            .values()
+            .filter(|p| replanned.binary_search(&p.id()).is_err())
+            .all(|p| {
+                occupancy_into(
+                    self.topology.movement(p.movement()),
+                    p.profile(),
+                    &mut occupancy,
+                );
+                table.is_free(&occupancy, gap, None)
+            })
     }
 
     fn record_published(&mut self, plans: &[TravelPlan]) {

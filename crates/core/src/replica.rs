@@ -169,6 +169,8 @@ pub struct StandbyManager {
     diverged: Option<String>,
     records_applied: u64,
     windows_applied: u64,
+    /// Whole frames read since divergence, none of them applied.
+    unapplied: u64,
 }
 
 impl std::fmt::Debug for StandbyManager {
@@ -213,26 +215,35 @@ impl StandbyManager {
             diverged: None,
             records_applied: 0,
             windows_applied: 0,
+            unapplied: 0,
         }
     }
 
     /// Applies every WAL record the primary has committed since the
-    /// last poll. Returns how many were applied this call.
+    /// last poll, reading each frame once. Returns the replication lag
+    /// in records this call found before applying anything: the whole
+    /// frames its scan read, or, once diverged, every frame read since
+    /// the divergence.
     ///
     /// Divergence (an undecodable record, a replayed block that misses
     /// its `Commit` hash, a snapshot that disagrees with the replica's
-    /// own state) does not error — it marks the standby
-    /// [`StandbyManager::diverged`], which turns a later promotion into
-    /// a cold fallback instead of promoting a wrong replica.
+    /// own state, a frame that fails its checksum) does not error — it
+    /// marks the standby [`StandbyManager::diverged`], which turns a
+    /// later promotion into a cold fallback instead of promoting a wrong
+    /// replica. A diverged standby still reads the log, to measure its
+    /// lag, but applies nothing more. When a scan ends in a bad frame,
+    /// the whole frames before it are applied first.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError`] only for device-level failures.
     pub fn poll(&mut self) -> Result<u64, StoreError> {
-        if self.diverged.is_some() {
-            return Ok(0);
-        }
         let payloads = self.follower.poll()?;
+        let found = payloads.len() as u64;
+        if self.diverged.is_some() {
+            self.unapplied += found;
+            return Ok(self.unapplied);
+        }
         if self.follower.is_corrupt() {
             self.diverged
                 .get_or_insert_with(|| "WAL follower hit corruption".into());
@@ -252,7 +263,7 @@ impl StandbyManager {
             self.windows_applied += u64::from(window);
         }
         self.records_applied += applied;
-        Ok(applied)
+        Ok(found)
     }
 
     /// The primary checked in: clear the miss counter and restart the
@@ -304,16 +315,6 @@ impl StandbyManager {
         self.windows_applied
     }
 
-    /// Committed frames sitting in the log that this standby has not
-    /// applied yet — the replication lag in records.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] on device failure.
-    pub fn lag_records(&mut self) -> Result<u64, StoreError> {
-        self.follower.pending()
-    }
-
     /// Read access to the converging replica (tests, diagnostics).
     pub fn manager(&self) -> &NwadeManager {
         &self.manager
@@ -336,6 +337,7 @@ impl StandbyManager {
             diverged: self.diverged.clone(),
             records_applied: self.records_applied,
             windows_applied: self.windows_applied,
+            unapplied: self.unapplied,
         }
     }
 
@@ -518,9 +520,10 @@ mod tests {
         let mut primary = Primary::start();
         let mut standby = standby(&primary.handle, 0.0);
         primary.drive(0..6, true); // crosses a snapshot boundary at 4
-        assert!(standby.lag_records().unwrap() > 0);
-        assert!(standby.poll().unwrap() > 0);
-        assert_eq!(standby.lag_records().unwrap(), 0);
+        let lag = standby.poll().unwrap();
+        assert!(lag > 0);
+        assert_eq!(standby.records_applied(), lag, "every frame found applied");
+        assert_eq!(standby.poll().unwrap(), 0, "nothing left behind");
         assert!(standby.diverged().is_none(), "{:?}", standby.diverged());
         assert_eq!(
             standby.manager().durable_state(),

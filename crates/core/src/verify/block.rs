@@ -5,7 +5,7 @@
 //! block must not conflict with each other, nor with the current plans
 //! from previously received blocks (lines 4 and 9 of Algorithm 1).
 
-use nwade_aim::{find_conflicts, reserve_checked, ReservationTable, TravelPlan};
+use nwade_aim::{find_conflicts, TravelPlan};
 use nwade_chain::{verify_link, Block, BlockError, ChainCache};
 use nwade_crypto::SignatureScheme;
 use nwade_intersection::Topology;
@@ -53,14 +53,18 @@ impl Error for BlockFailure {}
 /// digest-keyed memo ([`ChainCache::verify_block_cached`]): a block
 /// re-delivered to the same vehicle costs no second public-key
 /// operation. Every *semantic* check — internal conflicts, linkage,
-/// cross-block conflicts — still runs on every call, so the Algorithm 1
-/// verdict is unchanged.
+/// cross-block conflicts — still gives its verdict on every call, so the
+/// Algorithm 1 verdict is unchanged.
+///
+/// The internal check reads its verdict from the block's reservation
+/// table ([`ChainCache::table_of`]), which every copy of a broadcast
+/// block shares: the first guard to check the block books its plans, and
+/// the others in range reuse the bookings and the verdict.
 ///
 /// The cross-block check is incremental. While the cache's current plans
 /// are known to be pairwise conflict-free ([`ChainCache::conflict_free`]),
 /// only pairs involving the new block can conflict, so each current plan
-/// the block does not re-plan probes the table of the block's own plans
-/// (built by the internal check from the block's memoised occupancies).
+/// the block does not re-plan probes the block's table.
 /// Otherwise — after a back-fill that added a current plan, after a block
 /// with two plans for one vehicle, and for such a block itself — the
 /// check runs from scratch over the merged plan set, and acceptance
@@ -95,17 +99,12 @@ pub fn verify_incoming_block(
         .verify_block_cached(block, verifier)
         .map_err(BlockFailure::Crypto)?;
 
-    // (ii) Plans within the block must be mutually conflict-free. Their
-    // bookings stay in `table` for (iv).
-    let mut table = ReservationTable::new();
-    let internal = reserve_checked(
-        &mut table,
-        block.plans(),
-        &block.occupancies(topology),
-        conflict_gap,
-    );
-    if !internal.is_empty() {
-        return Err(BlockFailure::InternalConflict(internal));
+    // (ii) Plans within the block must be mutually conflict-free. The
+    // verdict and the bookings come from the block's shared table, which
+    // (iv) probes.
+    let table = cache.table_of(block, topology, conflict_gap);
+    if !table.conflicts().is_empty() {
+        return Err(BlockFailure::InternalConflict(table.conflicts().to_vec()));
     }
 
     // (iii) The block must chain onto the cached tip.
@@ -123,7 +122,11 @@ pub fn verify_incoming_block(
             if replanned.contains(&plan.id()) || known_threats.contains(&plan.id()) {
                 return;
             }
-            if let Some((_, holder)) = table.first_conflict(occupancy, conflict_gap, None) {
+            if let Some((_, holder)) =
+                table
+                    .reservations()
+                    .first_conflict(occupancy, conflict_gap, None)
+            {
                 cross.push((holder.min(plan.id()), holder.max(plan.id())));
             }
         });
@@ -390,6 +393,39 @@ mod tests {
         .expect("replanning accepted");
     }
 
+    /// Guards in range share one table per block; once the last of them
+    /// has moved on it is freed, and a late guard rebuilds it to the same
+    /// verdict.
+    #[test]
+    fn late_guard_rebuilds_a_freed_table_to_the_same_verdict() {
+        let mut fx = Fixture::new();
+        let honest = fx.honest_block(8, 0.0);
+        let corrupted_plans = nwade_aim::corrupt::make_conflicting(honest.plans(), &fx.topo, 0.0)
+            .expect("crossing traffic");
+        let evil = tamper::resign_with_plans(&honest, corrupted_plans, fx.scheme.as_ref());
+        let newer = fx.honest_block(2, 20.0);
+        let check = |block: &Block, cache: &mut ChainCache| {
+            verify_incoming_block(
+                block,
+                cache,
+                fx.scheme.as_ref(),
+                &fx.topo,
+                0.5,
+                &Default::default(),
+            )
+        };
+        let (mut first, mut second) = (ChainCache::new(4), ChainCache::new(4));
+        let verdict = check(&evil, &mut first);
+        assert!(matches!(verdict, Err(BlockFailure::InternalConflict(_))));
+        assert_eq!(check(&evil.clone(), &mut second), verdict);
+        let weak = Arc::downgrade(&evil.table(&fx.topo, 0.5));
+        first.clear();
+        assert!(weak.upgrade().is_some(), "the second guard holds it");
+        let _ = check(&newer, &mut second);
+        assert!(weak.upgrade().is_none(), "freed once both moved on");
+        assert_eq!(check(&evil, &mut ChainCache::new(4)), verdict);
+    }
+
     #[test]
     fn failure_display_messages() {
         let f = BlockFailure::InternalConflict(vec![(VehicleId::new(1), VehicleId::new(2))]);
@@ -584,7 +620,10 @@ mod tests {
         /// gives the from-scratch verdict at every step of a guard's
         /// life: honest, corrupted, intruding, self-colliding and
         /// repeated-vehicle blocks, forgeries and broken links, threats
-        /// noted mid-chain, back-fills, evictions and clears.
+        /// noted mid-chain, back-fills, evictions and clears. A second
+        /// guard, with one more block of capacity, checks a copy of every
+        /// block too, alternately before and after the first, so each of
+        /// them both builds a block's shared table and reuses it.
         #[test]
         fn incremental_verdicts_equal_from_scratch(
             capacity in 2usize..=4,
@@ -594,6 +633,7 @@ mod tests {
             let topo = fx.topo.clone();
             let scheme = fx.scheme.clone();
             let mut cache = ChainCache::new(capacity);
+            let mut second = ChainCache::new(capacity + 1);
             let mut threats = HashSet::new();
             let mut accepted: BTreeMap<u64, Block> = BTreeMap::new();
             for (i, step) in steps.iter().enumerate() {
@@ -619,6 +659,7 @@ mod tests {
                     }
                     Step::Clear => {
                         cache.clear();
+                        second.clear();
                         continue;
                     }
                     _ => {}
@@ -634,6 +675,19 @@ mod tests {
                     .collect();
                 let last = accepted.values().next_back().cloned();
                 let block = fx.block_after(last.as_ref(), step, &victims);
+                let second_expected = verify_from_scratch(
+                    &block,
+                    &mut second.clone(),
+                    scheme.as_ref(),
+                    &topo,
+                    0.5,
+                    &threats,
+                );
+                let copy = block.clone();
+                let second_check = |second: &mut ChainCache| {
+                    verify_incoming_block(&copy, second, scheme.as_ref(), &topo, 0.5, &threats)
+                };
+                let second_got = if i % 2 == 0 { Some(second_check(&mut second)) } else { None };
                 let mut oracle = cache.clone();
                 let expected =
                     verify_from_scratch(&block, &mut oracle, scheme.as_ref(), &topo, 0.5, &threats);
@@ -648,6 +702,17 @@ mod tests {
                     step,
                     incremental
                 );
+                let second_got = second_got.unwrap_or_else(|| second_check(&mut second));
+                prop_assert_eq!(
+                    verdict(&second_got),
+                    verdict(&second_expected),
+                    "step {} {:?}, second guard",
+                    i,
+                    step
+                );
+                if second_got.is_ok() {
+                    second.append(copy).expect("verified link");
+                }
                 if got.is_ok() {
                     cache.append(block.clone()).expect("verified link");
                     accepted.insert(block.index(), block);

@@ -245,12 +245,12 @@ impl ImuAgent {
         }
         self.was_down = down;
         if let Some(standby) = self.durable.standby.as_mut() {
-            // Replication first; lag is sampled before the drain, so the
-            // metric records the largest backlog a poll ever found.
-            if let Ok(lag) = standby.lag_records() {
+            // Replication first. A poll reports the backlog it found
+            // before draining it, so the metric records the largest
+            // backlog a poll ever found.
+            if let Ok(lag) = standby.poll() {
                 metrics.standby_max_lag_records = metrics.standby_max_lag_records.max(lag);
             }
-            let _ = standby.poll();
             if !down {
                 standby.heartbeat(now);
             } else if standby.due_promotion(now) {
@@ -731,6 +731,43 @@ mod tests {
         assert!(a
             .on_verify_response(0, VehicleId::new(1), true, true, &[], 1.0)
             .is_empty());
+    }
+
+    /// The tick reads each WAL frame once. When that scan ends in a bad
+    /// frame, the standby applies the whole frames before it, samples
+    /// them as its lag, and then diverges.
+    #[test]
+    fn tick_applies_the_whole_frames_before_a_bad_one() {
+        let mut config = SimConfig::default();
+        config.standby.enabled = true;
+        let topo = Arc::new(build(config.kind, &config.geometry));
+        let mut a = ImuAgent::new(&config, topo, Arc::new(MockScheme::from_seed(0)));
+        let mut metrics = SimMetrics::default();
+        let window = |a: &mut ImuAgent, w: u64, metrics: &mut SimMetrics| {
+            a.window(&requests(2, w * 10), w as f64 * 2.0, metrics);
+            a.window_end();
+        };
+        let standby = |a: &ImuAgent| {
+            let standby = a.durable.standby.as_ref().expect("standby enabled");
+            (standby.windows_applied(), standby.records_applied())
+        };
+        window(&mut a, 0, &mut metrics);
+        a.begin_tick(1.0, &mut metrics, Vec::new);
+        let (windows, records) = standby(&a);
+        // Window 1 stays intact; a frame of window 2 goes bad.
+        window(&mut a, 1, &mut metrics);
+        let intact = a.durable.store.contents().len();
+        window(&mut a, 2, &mut metrics);
+        a.durable.store.flip_bit(intact + 10, 1);
+
+        metrics.standby_max_lag_records = 0;
+        a.begin_tick(5.0, &mut metrics, Vec::new);
+        let (windows_after, records_after) = standby(&a);
+        assert_eq!(windows_after, windows + 1, "window 1 applied");
+        assert!(records_after > records);
+        assert_eq!(metrics.standby_max_lag_records, records_after - records);
+        let standby = a.durable.standby.as_ref().expect("standby enabled");
+        assert!(standby.diverged().is_some(), "then diverged");
     }
 
     #[test]

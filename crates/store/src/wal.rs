@@ -256,16 +256,6 @@ impl WalFollower {
         self.corrupt
     }
 
-    /// Whole durable frames not yet consumed, without consuming them —
-    /// the follower's lag in records.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] when the device cannot be read.
-    pub fn pending(&mut self) -> Result<u64, StoreError> {
-        Ok(self.scan()?.len() as u64)
-    }
-
     /// Drains every whole, intact frame currently inside the durable
     /// prefix and advances past them. Returns an empty batch when
     /// nothing new is durable (or the follower is poisoned).
@@ -274,14 +264,6 @@ impl WalFollower {
     ///
     /// Returns [`StoreError`] when the device cannot be read.
     pub fn poll(&mut self) -> Result<Vec<Vec<u8>>, StoreError> {
-        let records = self.scan()?;
-        for payload in &records {
-            self.offset += (FRAME_HEADER + payload.len()) as u64;
-        }
-        Ok(records)
-    }
-
-    fn scan(&mut self) -> Result<Vec<Vec<u8>>, StoreError> {
         if self.corrupt {
             return Ok(Vec::new());
         }
@@ -301,7 +283,9 @@ impl WalFollower {
             match next_frame(cursor) {
                 Frame::Whole(payload) => {
                     records.push(payload.to_vec());
-                    cursor = &cursor[FRAME_HEADER + payload.len()..];
+                    let len = FRAME_HEADER + payload.len();
+                    self.offset += len as u64;
+                    cursor = &cursor[len..];
                 }
                 Frame::Partial => break, // in flight or torn: wait
                 Frame::Bad => {
@@ -418,11 +402,9 @@ mod tests {
 
         wal.append(b"alpha").unwrap();
         // Appended but not committed: invisible to the follower.
-        assert_eq!(follower.pending().unwrap(), 0);
         assert!(follower.poll().unwrap().is_empty());
 
         wal.commit().unwrap();
-        assert_eq!(follower.pending().unwrap(), 1);
         assert_eq!(follower.poll().unwrap(), vec![b"alpha".to_vec()]);
         assert!(follower.poll().unwrap().is_empty());
 
