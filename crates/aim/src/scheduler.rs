@@ -61,6 +61,12 @@ pub trait Scheduler {
     ///
     /// Returned plans are conflict-free among themselves and against all
     /// previously issued plans (checked by [`crate::find_conflicts`]).
+    /// Every request gets exactly one plan, and each plan is booked as
+    /// [`Scheduler::book`] would book it: a request no slot fits is
+    /// parked ([`crate::reservation::park_fallback`]), never skipped.
+    /// WAL replay relies on both. It books a committed block's plans and
+    /// takes each request the block has no plan for as one the publish
+    /// filter dropped.
     fn schedule(&mut self, requests: &[PlanRequest], now: f64) -> Vec<TravelPlan>;
 
     /// Forgets reservations that ended before `t`.

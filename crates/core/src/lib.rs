@@ -56,7 +56,7 @@ pub use guard::{EvacuationCause, GuardAction, VehicleGuard};
 pub use manager::{publish_filter, FilteredBatch, ManagerAction, NwadeManager};
 pub use messages::{GlobalClaim, GlobalReport, IncidentReport, NwadeMessage, Observation};
 pub use persist::{
-    CrashPoint, DurableState, ImPersistence, RecoveryOutcome, WalRecord, WarmRecovery,
+    CrashPoint, DurableState, ImPersistence, Ledger, RecoveryOutcome, WalRecord, WarmRecovery,
 };
 pub use replica::{
     block_epoch, fence_anchor, Promoted, StandbyManager, StandbyPolicy, FENCE_SHARD,

@@ -8,6 +8,7 @@
 use crate::config::NwadeConfig;
 use crate::fsm::im::{ImEvent, ImState};
 use crate::messages::IncidentReport;
+use crate::persist::Ledger;
 use crate::verify::report::{ReportDecision, ReportVerification};
 use nwade_aim::evacuation::{EvacuationConfig, EvacuationPlanner};
 use nwade_aim::{
@@ -351,6 +352,105 @@ impl NwadeManager {
         }
     }
 
+    /// Adopts a committed window block instead of re-running the window
+    /// (WAL replay: warm recovery and the hot standby). The effects are
+    /// [`NwadeManager::on_window`]'s, in its order: every plan booked in
+    /// block order, the publish filter's drops released, the plans
+    /// recorded as published, the block made the chain tip and retained,
+    /// and old reservations collected. Nothing is scheduled or signed.
+    ///
+    /// `requests` are the window's logged requests. The scheduler plans
+    /// each request once, so every request the block has no plan for was
+    /// dropped by the publish filter.
+    ///
+    /// # Errors
+    ///
+    /// Returns why `block` cannot be this manager's next block for
+    /// `requests`; the manager is then unchanged.
+    pub(crate) fn adopt_window(
+        &mut self,
+        requests: &[PlanRequest],
+        block: &Block,
+    ) -> Result<(), String> {
+        let dropped = self.check_adoptable(requests, block)?;
+        self.apply_block(block, &dropped);
+        self.scheduler
+            .collect_garbage(block.timestamp() - self.config.reservation_gc_horizon);
+        Ok(())
+    }
+
+    /// Adopts a committed evacuation block, as
+    /// [`NwadeManager::adopt_window`] adopts a window's: the effects are
+    /// [`NwadeManager::evacuation_block`]'s, which replaces the published
+    /// set wholesale and collects no garbage.
+    ///
+    /// # Errors
+    ///
+    /// As [`NwadeManager::adopt_window`].
+    pub(crate) fn adopt_evacuation(
+        &mut self,
+        states: &[PlanRequest],
+        block: &Block,
+    ) -> Result<(), String> {
+        let dropped = self.check_adoptable(states, block)?;
+        self.published.clear();
+        self.apply_block(block, &dropped);
+        Ok(())
+    }
+
+    /// Checks that `block` extends this manager's chain and carries its
+    /// own Merkle root, and returns the vehicles the publish filter
+    /// dropped: each one listed more often in `requests` than the block
+    /// has plans for it.
+    fn check_adoptable(
+        &self,
+        requests: &[PlanRequest],
+        block: &Block,
+    ) -> Result<Vec<VehicleId>, String> {
+        let index = block.index();
+        if index != self.chain_next_index() || block.prev_hash() != self.chain_tip() {
+            return Err(format!(
+                "committed block {index} does not extend the replayed chain at height {}",
+                self.chain_next_index()
+            ));
+        }
+        if block.plans().is_empty() || block.computed_root() != block.merkle_root() {
+            return Err(format!(
+                "committed block {index} does not match its Merkle root"
+            ));
+        }
+        let mut surplus: BTreeMap<VehicleId, i64> = BTreeMap::new();
+        for r in requests {
+            *surplus.entry(r.id).or_default() += 1;
+        }
+        for p in block.plans() {
+            *surplus.entry(p.id()).or_default() -= 1;
+        }
+        if surplus.values().any(|&n| n < 0) {
+            return Err(format!(
+                "committed block {index} plans a vehicle its stage did not request"
+            ));
+        }
+        Ok(surplus
+            .into_iter()
+            .filter(|&(_, n)| n > 0)
+            .map(|(vehicle, _)| vehicle)
+            .collect())
+    }
+
+    /// The effects a sealed block had on the manager that sealed it.
+    fn apply_block(&mut self, block: &Block, dropped: &[VehicleId]) {
+        for plan in block.plans() {
+            self.scheduler.book(plan);
+        }
+        for vehicle in dropped {
+            self.scheduler.release(*vehicle);
+        }
+        self.record_published(block.plans());
+        self.packager.restore_tip(block.hash(), block.index() + 1);
+        self.remember_block(block);
+    }
+
     /// Current automaton state.
     pub fn state(&self) -> ImState {
         self.state
@@ -664,24 +764,47 @@ impl NwadeManager {
         self.packager.prev_hash()
     }
 
+    /// The report ledger: the verification-poll id counter, the
+    /// confirmed vehicles and the false-alarm counts.
+    pub fn ledger(&self) -> Ledger {
+        let mut false_reporters: Vec<(VehicleId, u32)> =
+            self.false_reporters.iter().map(|(v, n)| (*v, *n)).collect();
+        false_reporters.sort_unstable();
+        Ledger {
+            next_request_id: self.next_request_id,
+            confirmed: self.confirmed.clone(),
+            false_reporters,
+        }
+    }
+
+    /// Applies a ledger change that [`Ledger::since`] computed on the
+    /// manager that made it (WAL replay).
+    pub fn apply_ledger(&mut self, change: &Ledger) {
+        self.next_request_id = change.next_request_id;
+        self.confirmed.extend_from_slice(&change.confirmed);
+        self.false_reporters
+            .extend(change.false_reporters.iter().copied());
+    }
+
     /// Captures the durable state a [`crate::persist`] snapshot records:
     /// chain tip, scheduler reservations, published-plan ledger,
     /// confirmed-threat and false-reporter records, recent blocks.
     /// Conversational state (FSM phase, in-flight verifications) is
     /// deliberately excluded — it does not survive a restart either way.
     pub fn durable_state(&self) -> crate::persist::DurableState {
-        let published: Vec<TravelPlan> = self.published.values().cloned().collect();
-        let mut false_reporters: Vec<(VehicleId, u32)> =
-            self.false_reporters.iter().map(|(v, n)| (*v, *n)).collect();
-        false_reporters.sort_by_key(|(v, _)| v.raw());
+        let Ledger {
+            next_request_id,
+            confirmed,
+            false_reporters,
+        } = self.ledger();
         crate::persist::DurableState {
             prev_hash: self.packager.prev_hash(),
             next_index: self.packager.next_index(),
-            next_request_id: self.next_request_id,
+            next_request_id,
             fencing_epoch: self.fencing_epoch,
             scheduler: self.scheduler.export_state(),
-            published,
-            confirmed: self.confirmed.clone(),
+            published: self.published.values().cloned().collect(),
+            confirmed,
             false_reporters,
             recent_blocks: self.recent_blocks.iter().cloned().collect(),
         }

@@ -4,34 +4,39 @@
 //! The storage layer (`nwade-store`) keeps opaque checksummed records;
 //! this module decides what goes in them. The log is **event-sourced**:
 //! the IM appends a [`WalRecord::WindowStart`] (with the in-flight
-//! requests) before scheduling, a [`WalRecord::Commit`] before
-//! publishing the resulting block, and a [`WalRecord::Broadcasted`]
-//! after the broadcast goes out; vehicle releases and evacuation stages
-//! are logged the same way, and every N windows a full
-//! [`WalRecord::Snapshot`] of the manager's durable state is appended
-//! in-log. Because the scheduler is deterministic, recovery is
-//! "restore latest intact snapshot, then re-execute the suffix": the
-//! replayed windows rebuild the reservation table, the
-//! published-plan ledger, the chain tip and the recent-block cache
-//! bit-for-bit, and each re-created block is checked against the hash
-//! pinned by its `Commit` record — any divergence (or a corrupt
-//! snapshot) aborts to the cold-restart path instead of trusting a
-//! half-broken log.
+//! requests) before scheduling, a [`WalRecord::Commit`] carrying the
+//! sealed block before publishing it, and a [`WalRecord::Broadcasted`]
+//! after the broadcast goes out; vehicle releases, evacuation stages
+//! and changes to the report ledger are logged the same way, and every
+//! N windows a full [`WalRecord::Snapshot`] of the manager's durable
+//! state is appended in-log. Recovery is "restore the latest intact
+//! snapshot, then adopt committed blocks; re-execute only stages with
+//! no commit". A committed block is checked to extend the replayed
+//! chain and to match its Merkle root, then its plans are booked,
+//! the publish filter's drops released and the block made the chain
+//! tip, with nothing re-scheduled or re-signed. A stage record that no
+//! `Commit` follows (a window that sealed nothing, or the crash window
+//! at the end of the log) runs again through the manager's own
+//! deterministic handler. Every snapshot in the suffix is compared with
+//! the replayed state; any divergence (or a corrupt snapshot) aborts
+//! to the cold-restart path instead of trusting a half-broken log.
 //!
 //! Durability points (one `fsync` each, batching everything appended
 //! since the previous one):
 //!
 //! | point                    | what becomes durable                  |
 //! |--------------------------|---------------------------------------|
-//! | `WindowStart`/`EvacStart`| the requests being scheduled, plus any buffered `Broadcasted`/`Release` records from earlier ticks |
+//! | `WindowStart`/`EvacStart`| the requests being scheduled, plus any buffered `Broadcasted`/`Release`/`Ledger` records from earlier ticks |
 //! | `Commit`                 | the block about to be published       |
 //! | `Snapshot`               | the full durable state                |
 //!
-//! `Broadcasted` and `Release` records are appended without their own
-//! barrier; losing them in a crash is safe — a re-broadcast duplicate
-//! is ignored by vehicles (stale index), and a re-booked reservation
-//! for a departed vehicle only delays later scheduling until garbage
-//! collection, never admits a conflict.
+//! `Broadcasted`, `Release` and `Ledger` records are appended without
+//! their own barrier. Losing the first two in a crash is safe — a
+//! re-broadcast duplicate is ignored by vehicles (stale index), and a
+//! re-booked reservation for a departed vehicle only delays later
+//! scheduling until garbage collection, never admits a conflict. A lost
+//! `Ledger` record forgets a verification outcome reached since the
+//! last barrier, as the verifications still in flight are forgotten.
 
 use crate::manager::{ManagerAction, NwadeManager};
 use bytes::{Buf, BufMut};
@@ -118,15 +123,7 @@ impl DurableState {
         for plan in &self.published {
             buf.put_slice(&plan.encode());
         }
-        buf.put_u32(self.confirmed.len() as u32);
-        for v in &self.confirmed {
-            buf.put_u64(v.raw());
-        }
-        buf.put_u32(self.false_reporters.len() as u32);
-        for (v, n) in &self.false_reporters {
-            buf.put_u64(v.raw());
-            buf.put_u32(*n);
-        }
+        put_reports(&mut buf, &self.confirmed, &self.false_reporters);
         buf.put_u32(self.recent_blocks.len() as u32);
         for block in &self.recent_blocks {
             buf.put_slice(&block.encode());
@@ -154,17 +151,7 @@ impl DurableState {
         for _ in 0..n {
             published.push(TravelPlan::decode_from(&mut cursor)?);
         }
-        let n = cursor.try_get_u32().ok()? as usize;
-        let mut confirmed = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            confirmed.push(VehicleId::new(cursor.try_get_u64().ok()?));
-        }
-        let n = cursor.try_get_u32().ok()? as usize;
-        let mut false_reporters = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let v = VehicleId::new(cursor.try_get_u64().ok()?);
-            false_reporters.push((v, cursor.try_get_u32().ok()?));
-        }
+        let (confirmed, false_reporters) = get_reports(&mut cursor)?;
         let n = cursor.try_get_u32().ok()? as usize;
         let mut recent_blocks = Vec::with_capacity(n.min(256));
         for _ in 0..n {
@@ -184,12 +171,83 @@ impl DurableState {
     }
 }
 
+/// The report ledger (§IV-B2 iii), or a change to it: the
+/// verification-poll id counter, the vehicles confirmed malicious, and
+/// the false-alarm count of each reporter. A [`WalRecord::Ledger`]
+/// carries the change one report handler made ([`Ledger::since`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Ledger {
+    /// Verification-poll id counter.
+    pub next_request_id: u64,
+    /// Vehicles confirmed malicious; in a change, the newly confirmed.
+    pub confirmed: Vec<VehicleId>,
+    /// False-alarm counts, sorted by vehicle id; in a change, the
+    /// counts that changed.
+    pub false_reporters: Vec<(VehicleId, u32)>,
+}
+
+impl Ledger {
+    /// What changed from `earlier` to `self`, or `None` when nothing
+    /// did. Both come from one manager, `earlier` first: the counter and
+    /// the confirmations only grow, and a count only rises.
+    pub fn since(&self, earlier: &Ledger) -> Option<Ledger> {
+        let change = Ledger {
+            next_request_id: self.next_request_id,
+            confirmed: self
+                .confirmed
+                .get(earlier.confirmed.len()..)
+                .unwrap_or_default()
+                .to_vec(),
+            false_reporters: self
+                .false_reporters
+                .iter()
+                .filter(|entry| earlier.false_reporters.binary_search(entry).is_err())
+                .copied()
+                .collect(),
+        };
+        let unchanged = change.next_request_id == earlier.next_request_id
+            && change.confirmed.is_empty()
+            && change.false_reporters.is_empty();
+        (!unchanged).then_some(change)
+    }
+}
+
+fn put_reports(buf: &mut Vec<u8>, confirmed: &[VehicleId], false_reporters: &[(VehicleId, u32)]) {
+    buf.put_u32(confirmed.len() as u32);
+    for v in confirmed {
+        buf.put_u64(v.raw());
+    }
+    buf.put_u32(false_reporters.len() as u32);
+    for (v, n) in false_reporters {
+        buf.put_u64(v.raw());
+        buf.put_u32(*n);
+    }
+}
+
+type Reports = (Vec<VehicleId>, Vec<(VehicleId, u32)>);
+
+fn get_reports(cursor: &mut &[u8]) -> Option<Reports> {
+    let n = cursor.try_get_u32().ok()? as usize;
+    let mut confirmed = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        confirmed.push(VehicleId::new(cursor.try_get_u64().ok()?));
+    }
+    let n = cursor.try_get_u32().ok()? as usize;
+    let mut false_reporters = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        let v = VehicleId::new(cursor.try_get_u64().ok()?);
+        false_reporters.push((v, cursor.try_get_u32().ok()?));
+    }
+    Some((confirmed, false_reporters))
+}
+
 const KIND_SNAPSHOT: u8 = 1;
 const KIND_WINDOW_START: u8 = 2;
 const KIND_EVAC_START: u8 = 3;
 const KIND_COMMIT: u8 = 4;
 const KIND_BROADCASTED: u8 = 5;
 const KIND_RELEASE: u8 = 6;
+const KIND_LEDGER: u8 = 7;
 
 /// One WAL record (the payload inside a checksummed store frame).
 #[derive(Debug, Clone, PartialEq)]
@@ -213,14 +271,9 @@ pub enum WalRecord {
         /// Confirmed threat locations.
         threats: Vec<Vec2>,
     },
-    /// The staged block was committed (written before publication);
-    /// replay re-creates the block and checks it against this hash.
-    Commit {
-        /// Block index.
-        index: u64,
-        /// `Block::hash()` of the committed block.
-        hash: Digest,
-    },
+    /// The block the preceding stage record sealed, committed before
+    /// publication; replay adopts it instead of re-running the stage.
+    Commit(Block),
     /// The committed block of this index went out on the air.
     Broadcasted {
         /// Block index.
@@ -231,6 +284,8 @@ pub enum WalRecord {
         /// The departed vehicle.
         vehicle: VehicleId,
     },
+    /// A report handler changed the manager's [`Ledger`].
+    Ledger(Ledger),
 }
 
 fn put_requests(buf: &mut Vec<u8>, requests: &[PlanRequest]) {
@@ -277,10 +332,9 @@ impl WalRecord {
                     buf.put_f64(t.y);
                 }
             }
-            WalRecord::Commit { index, hash } => {
+            WalRecord::Commit(block) => {
                 buf.put_u8(KIND_COMMIT);
-                buf.put_u64(*index);
-                buf.put_slice(hash.as_bytes());
+                buf.put_slice(&block.encode());
             }
             WalRecord::Broadcasted { index } => {
                 buf.put_u8(KIND_BROADCASTED);
@@ -289,6 +343,11 @@ impl WalRecord {
             WalRecord::Release { vehicle } => {
                 buf.put_u8(KIND_RELEASE);
                 buf.put_u64(vehicle.raw());
+            }
+            WalRecord::Ledger(change) => {
+                buf.put_u8(KIND_LEDGER);
+                buf.put_u64(change.next_request_id);
+                put_reports(&mut buf, &change.confirmed, &change.false_reporters);
             }
         }
         buf
@@ -321,21 +380,22 @@ impl WalRecord {
                     threats,
                 }
             }
-            KIND_COMMIT => {
-                let index = cursor.try_get_u64().ok()?;
-                let mut hash = [0u8; 32];
-                cursor.try_copy_to_slice(&mut hash).ok()?;
-                WalRecord::Commit {
-                    index,
-                    hash: Digest(hash),
-                }
-            }
+            KIND_COMMIT => WalRecord::Commit(Block::decode_from(&mut cursor)?),
             KIND_BROADCASTED => WalRecord::Broadcasted {
                 index: cursor.try_get_u64().ok()?,
             },
             KIND_RELEASE => WalRecord::Release {
                 vehicle: VehicleId::new(cursor.try_get_u64().ok()?),
             },
+            KIND_LEDGER => {
+                let next_request_id = cursor.try_get_u64().ok()?;
+                let (confirmed, false_reporters) = get_reports(&mut cursor)?;
+                WalRecord::Ledger(Ledger {
+                    next_request_id,
+                    confirmed,
+                    false_reporters,
+                })
+            }
             _ => return None,
         };
         cursor.is_empty().then_some(record)
@@ -378,21 +438,68 @@ pub struct ImPersistence {
     windows_since_snapshot: u32,
 }
 
-/// Re-executes WAL records through a manager's own deterministic
-/// handlers: the one replay loop behind both warm recovery
-/// ([`ImPersistence::attach`] feeds it the suffix after the latest
-/// snapshot) and the hot standby (`StandbyManager` feeds it every poll).
+/// Applies WAL records to a manager: the one replay loop behind both
+/// warm recovery ([`ImPersistence::attach`] feeds it the suffix after
+/// the latest snapshot) and the hot standby (`StandbyManager` feeds it
+/// every poll).
 ///
-/// At most one scheduled-but-uncommitted block is in flight at a time;
-/// any record that contradicts that, a re-created block that misses its
-/// `Commit` hash, or a snapshot that disagrees with the replayed state
-/// is a divergence.
+/// A stage record waits for the record after it. A `Commit` there
+/// means the stage sealed that block, which the manager adopts
+/// ([`NwadeManager::adopt_window`], [`NwadeManager::adopt_evacuation`]).
+/// Any other record means the stage sealed nothing, and the stage is
+/// re-executed first. A stage at the end of the log is the crash
+/// window; [`Replay::execute_trailing`] re-executes it. A committed
+/// block that does not extend the replayed chain, a re-executed stage
+/// that seals a block the log never committed, or a snapshot that
+/// disagrees with the replayed state is a divergence.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Replay {
-    /// The block the latest stage record re-created, until its `Commit`.
-    staged: Option<Block>,
+    /// The latest stage record, until the next record shows whether it
+    /// committed a block.
+    stage: Option<Stage>,
     /// Committed blocks with no `Broadcasted` record yet.
     unbroadcast: Vec<Block>,
+}
+
+/// A logged stage: the inputs of one window or evacuation plan.
+#[derive(Debug, Clone)]
+enum Stage {
+    Window {
+        now: f64,
+        requests: Vec<PlanRequest>,
+    },
+    Evacuation {
+        now: f64,
+        states: Vec<PlanRequest>,
+        threats: Vec<Vec2>,
+    },
+}
+
+impl Stage {
+    /// Runs the stage again through the manager's own handler; returns
+    /// the block it seals, if any.
+    fn execute(self, manager: &mut NwadeManager) -> Option<Block> {
+        let action = match self {
+            Stage::Window { now, requests } => manager.on_window(&requests, now),
+            Stage::Evacuation {
+                now,
+                states,
+                threats,
+            } => manager.evacuation_block(&states, &threats, now),
+        };
+        match action {
+            Some(ManagerAction::BroadcastBlock(block)) => Some(block),
+            _ => None,
+        }
+    }
+
+    /// Adopts the block this stage committed.
+    fn adopt(self, manager: &mut NwadeManager, block: &Block) -> Result<(), String> {
+        match self {
+            Stage::Window { requests, .. } => manager.adopt_window(&requests, block),
+            Stage::Evacuation { states, .. } => manager.adopt_evacuation(&states, block),
+        }
+    }
 }
 
 impl Replay {
@@ -407,7 +514,24 @@ impl Replay {
         manager: &mut NwadeManager,
         record: WalRecord,
     ) -> Result<(), String> {
+        // Any record but a commit shows that the live run moved past the
+        // pending stage without committing, so the stage sealed nothing.
+        if !matches!(record, WalRecord::Commit(_)) {
+            if let Some(stage) = self.stage.take() {
+                if stage.execute(manager).is_some() {
+                    return Err("uncommitted stage produced a block".into());
+                }
+            }
+        }
         match record {
+            WalRecord::Commit(block) => {
+                let stage = self
+                    .stage
+                    .take()
+                    .ok_or_else(|| format!("commit of block {} without a stage", block.index()))?;
+                stage.adopt(manager, &block)?;
+                self.unbroadcast.push(block);
+            }
             WalRecord::Snapshot(state) => {
                 // The primary's periodic state dump: replaying the same
                 // records must have reached the same state.
@@ -416,70 +540,43 @@ impl Replay {
                 }
             }
             WalRecord::WindowStart { now, requests } => {
-                self.nothing_staged("uncommitted window produced a block")?;
-                self.staged = block_of(manager.on_window(&requests, now));
+                self.stage = Some(Stage::Window { now, requests });
             }
             WalRecord::EvacStart {
                 now,
                 states,
                 threats,
             } => {
-                self.nothing_staged("uncommitted stage produced a block")?;
-                self.staged = block_of(manager.evacuation_block(&states, &threats, now));
-            }
-            WalRecord::Commit { index, hash } => {
-                let Some(block) = self.staged.take() else {
-                    return Err("commit without a staged block".into());
-                };
-                if block.index() != index || block.hash() != hash {
-                    return Err(format!(
-                        "replay divergence at block {index}: replayed block {} does not match the committed hash",
-                        block.index()
-                    ));
-                }
-                self.unbroadcast.push(block);
+                self.stage = Some(Stage::Evacuation {
+                    now,
+                    states,
+                    threats,
+                });
             }
             WalRecord::Broadcasted { index } => {
-                self.nothing_staged("broadcast record for an uncommitted block")?;
                 self.unbroadcast.retain(|b| b.index() != index);
             }
-            WalRecord::Release { vehicle } => {
-                self.nothing_staged("release record while a block was uncommitted")?;
-                manager.release_vehicle(vehicle);
-            }
+            WalRecord::Release { vehicle } => manager.release_vehicle(vehicle),
+            WalRecord::Ledger(change) => manager.apply_ledger(&change),
         }
         Ok(())
     }
 
-    /// Fails with `what` while a re-created block awaits its commit: the
-    /// live run moved past that stage without committing, so it cannot
-    /// have produced a block, yet the replay did.
-    fn nothing_staged(&self, what: &str) -> Result<(), String> {
-        match self.staged {
-            Some(_) => Err(what.into()),
-            None => Ok(()),
-        }
+    /// Re-executes a stage record that ends the log with no `Commit`: the
+    /// crash window itself. The block it re-creates, if any, joins the
+    /// unbroadcast blocks and is returned.
+    pub(crate) fn execute_trailing(&mut self, manager: &mut NwadeManager) -> Option<&Block> {
+        let block = self.stage.take()?.execute(manager)?;
+        self.unbroadcast.push(block);
+        self.unbroadcast.last()
     }
 
-    /// The block re-created by a trailing stage record with no commit
-    /// yet: the crash window itself.
-    pub(crate) fn staged(&self) -> Option<&Block> {
-        self.staged.as_ref()
-    }
-
-    /// Every block the fleet may not have seen — committed but never
-    /// marked broadcast, then the trailing staged block — in chain order.
+    /// Every committed block the fleet may not have seen — never marked
+    /// broadcast, the re-executed crash window's included — in chain
+    /// order.
     pub(crate) fn finish(mut self) -> Vec<Block> {
-        self.unbroadcast.extend(self.staged);
         self.unbroadcast.sort_by_key(Block::index);
         self.unbroadcast
-    }
-}
-
-fn block_of(action: Option<ManagerAction>) -> Option<Block> {
-    match action {
-        Some(ManagerAction::BroadcastBlock(block)) => Some(block),
-        _ => None,
     }
 }
 
@@ -488,11 +585,11 @@ impl ImPersistence {
     ///
     /// `manager` must be freshly constructed (genesis state): on an
     /// empty log this is a no-op warm outcome; otherwise the latest
-    /// intact snapshot is restored into it and the WAL suffix replayed
-    /// through the manager's own deterministic handlers, verifying each
-    /// re-created block against its `Commit` hash. Any inconsistency
-    /// yields [`RecoveryOutcome::Cold`] — the caller must then discard
-    /// `manager` (it may be half-restored) along with this handle.
+    /// intact snapshot is restored into it and the WAL suffix replayed:
+    /// committed blocks are adopted, and only stages with no commit
+    /// re-execute. Any inconsistency yields [`RecoveryOutcome::Cold`] —
+    /// the caller must then discard `manager` (it may be half-restored)
+    /// along with this handle.
     ///
     /// # Errors
     ///
@@ -536,7 +633,7 @@ impl ImPersistence {
             None => 0,
         };
 
-        // Re-execute the suffix.
+        // Replay the suffix.
         let mut replay = Replay::default();
         let replayed = records.len() - replay_from;
         for record in records.drain(..).skip(replay_from) {
@@ -546,9 +643,9 @@ impl ImPersistence {
         }
 
         // A trailing stage without a commit is the crash window itself:
-        // the block (if any) was re-created above — commit it now, then
-        // hand it to the host for broadcast.
-        if let Some(block) = replay.staged() {
+        // re-create its block (if any), commit it now, then hand it to
+        // the host for broadcast.
+        if let Some(block) = replay.execute_trailing(manager) {
             persist.commit_block(block, true)?;
         }
 
@@ -655,13 +752,8 @@ impl ImPersistence {
     ///
     /// Returns [`StoreError`] on device failure.
     pub fn commit_block(&mut self, block: &Block, sync: bool) -> Result<(), StoreError> {
-        self.wal.append(
-            &WalRecord::Commit {
-                index: block.index(),
-                hash: block.hash(),
-            }
-            .encode(),
-        )?;
+        self.wal
+            .append(&WalRecord::Commit(block.clone()).encode())?;
         if sync {
             self.wal.commit()?;
         }
@@ -684,6 +776,15 @@ impl ImPersistence {
     /// Returns [`StoreError`] on device failure.
     pub fn release(&mut self, vehicle: VehicleId) -> Result<(), StoreError> {
         self.wal.append(&WalRecord::Release { vehicle }.encode())
+    }
+
+    /// Buffers a report-ledger change (no barrier of its own).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError`] on device failure.
+    pub fn ledger(&mut self, change: &Ledger) -> Result<(), StoreError> {
+        self.wal.append(&WalRecord::Ledger(change.clone()).encode())
     }
 
     /// Marks the end of a processing window and appends a snapshot
@@ -716,7 +817,7 @@ impl ImPersistence {
 mod tests {
     use super::*;
     use crate::config::NwadeConfig;
-    use nwade_aim::{ReservationScheduler, SchedulerConfig};
+    use nwade_aim::{ReservationScheduler, Scheduler, SchedulerConfig};
     use nwade_crypto::MockScheme;
     use nwade_intersection::{build, GeometryConfig, IntersectionKind, MovementId, Topology};
     use nwade_store::MemBackend;
@@ -805,6 +906,11 @@ mod tests {
 
     #[test]
     fn wal_record_codec_round_trips() {
+        let Some(ManagerAction::BroadcastBlock(block)) =
+            manager().on_window(&[request(4), request(5)], 2.0)
+        else {
+            panic!("expected a block");
+        };
         let records = vec![
             WalRecord::WindowStart {
                 now: 12.5,
@@ -815,14 +921,16 @@ mod tests {
                 states: vec![request(3)],
                 threats: vec![Vec2::new(1.0, -2.0)],
             },
-            WalRecord::Commit {
-                index: 7,
-                hash: nwade_crypto::sha256(b"x"),
-            },
+            WalRecord::Commit(block),
             WalRecord::Broadcasted { index: 7 },
             WalRecord::Release {
                 vehicle: VehicleId::new(9),
             },
+            WalRecord::Ledger(Ledger {
+                next_request_id: 4,
+                confirmed: vec![VehicleId::new(3)],
+                false_reporters: vec![(VehicleId::new(1), 2), (VehicleId::new(8), 1)],
+            }),
         ];
         for r in records {
             let bytes = r.encode();
@@ -870,7 +978,7 @@ mod tests {
                 w.actions
             );
         };
-        assert_eq!(again.hash(), staged.hash(), "bit-identical re-creation");
+        assert_eq!(again.hash(), staged.hash(), "the committed block itself");
         assert_eq!(recovered.durable_state(), live.durable_state());
         let _ = blocks;
     }
@@ -1003,5 +1111,365 @@ mod tests {
         };
         assert_eq!(again.hash(), evac.hash());
         assert_eq!(recovered.durable_state(), live.durable_state());
+    }
+
+    /// Replay as it was before committed blocks were adopted: every
+    /// stage re-executes at once, and each re-created block must match
+    /// the one its `Commit` carries. The oracle of the adopt path.
+    #[derive(Default)]
+    struct Reexecute {
+        staged: Option<Block>,
+        unbroadcast: Vec<Block>,
+    }
+
+    impl Reexecute {
+        fn apply(&mut self, manager: &mut NwadeManager, record: WalRecord) -> Result<(), String> {
+            let block_of = |action| match action {
+                Some(ManagerAction::BroadcastBlock(block)) => Some(block),
+                _ => None,
+            };
+            match record {
+                WalRecord::Snapshot(state) => {
+                    if manager.durable_state() != state {
+                        return Err("snapshot disagrees with replayed state".into());
+                    }
+                }
+                WalRecord::WindowStart { now, requests } => {
+                    self.nothing_staged()?;
+                    self.staged = block_of(manager.on_window(&requests, now));
+                }
+                WalRecord::EvacStart {
+                    now,
+                    states,
+                    threats,
+                } => {
+                    self.nothing_staged()?;
+                    self.staged = block_of(manager.evacuation_block(&states, &threats, now));
+                }
+                WalRecord::Commit(block) => {
+                    let staged = self.staged.take().ok_or("commit without a staged block")?;
+                    if staged != block {
+                        return Err(format!("re-created block {} differs", block.index()));
+                    }
+                    self.unbroadcast.push(staged);
+                }
+                WalRecord::Broadcasted { index } => {
+                    self.nothing_staged()?;
+                    self.unbroadcast.retain(|b| b.index() != index);
+                }
+                WalRecord::Release { vehicle } => {
+                    self.nothing_staged()?;
+                    manager.release_vehicle(vehicle);
+                }
+                WalRecord::Ledger(change) => {
+                    self.nothing_staged()?;
+                    manager.apply_ledger(&change);
+                }
+            }
+            Ok(())
+        }
+
+        fn nothing_staged(&self) -> Result<(), String> {
+            match self.staged {
+                Some(_) => Err("uncommitted stage produced a block".into()),
+                None => Ok(()),
+            }
+        }
+
+        fn finish(mut self) -> Vec<Block> {
+            self.unbroadcast.extend(self.staged);
+            self.unbroadcast.sort_by_key(Block::index);
+            self.unbroadcast
+        }
+    }
+
+    /// The reservation scheduler, except that a batch scheduled at a
+    /// half-second mark comes back with two plans retimed into a
+    /// conflict ([`nwade_aim::corrupt::make_conflicting`]) and booked as
+    /// returned. The publish filter then has plans to drop, which honest
+    /// scheduling makes rare.
+    #[derive(Clone)]
+    struct Conflicting {
+        inner: ReservationScheduler,
+        topology: Arc<Topology>,
+    }
+
+    impl Scheduler for Conflicting {
+        fn schedule(&mut self, requests: &[PlanRequest], now: f64) -> Vec<TravelPlan> {
+            let plans = self.inner.schedule(requests, now);
+            if now.fract() != 0.5 {
+                return plans;
+            }
+            let Some(bad) = nwade_aim::corrupt::make_conflicting(&plans, &self.topology, now)
+            else {
+                return plans;
+            };
+            for plan in &bad {
+                self.inner.book(plan);
+            }
+            bad
+        }
+        fn collect_garbage(&mut self, t: f64) {
+            self.inner.collect_garbage(t);
+        }
+        fn release(&mut self, vehicle: VehicleId) {
+            self.inner.release(vehicle);
+        }
+        fn book(&mut self, plan: &TravelPlan) {
+            self.inner.book(plan);
+        }
+        fn export_state(&self) -> Vec<u8> {
+            self.inner.export_state()
+        }
+        fn import_state(&mut self, state: &[u8]) -> bool {
+            self.inner.import_state(state)
+        }
+        fn clone_box(&self) -> Box<dyn Scheduler + Send> {
+            Box::new(self.clone())
+        }
+    }
+
+    fn conflicting_manager() -> NwadeManager {
+        let topology = topo();
+        let inner = ReservationScheduler::new(topology.clone(), SchedulerConfig::default());
+        NwadeManager::new(
+            topology.clone(),
+            Box::new(Conflicting { inner, topology }),
+            Arc::new(MockScheme::from_seed(9)),
+            NwadeConfig::default(),
+        )
+    }
+
+    /// What the random log generator below produced, summed over its logs.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        drops: usize,
+        blockless: usize,
+        evacuations: usize,
+        twice_listed: usize,
+        ledger_changes: usize,
+        snapshots: usize,
+        trailing: usize,
+    }
+
+    /// Drives a primary through random windows the way the host does,
+    /// logging them, and returns it with its device.
+    fn random_log(seed: u64, coverage: &mut Coverage) -> (NwadeManager, MemBackend) {
+        use rand::Rng;
+        let handle = MemBackend::new();
+        let mut live = conflicting_manager();
+        let (mut persist, _) =
+            ImPersistence::attach(Box::new(handle.clone()), 3, &mut live).expect("attach");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let random_request = |rng: &mut StdRng| PlanRequest {
+            position_s: rng.gen_range(0.0..5.0),
+            ..request(rng.gen_range(0..24u64))
+        };
+        let mut now = 0.0;
+        let steps = 40;
+        for step in 0..steps {
+            now += 1.0;
+            let last = step + 1 == steps;
+            match rng.gen_range(0..10u32) {
+                0 => {
+                    let vehicle = VehicleId::new(rng.gen_range(0..24u64));
+                    persist.release(vehicle).unwrap();
+                    live.release_vehicle(vehicle);
+                }
+                1 => {
+                    let states: Vec<PlanRequest> =
+                        (0..3).map(|_| random_request(&mut rng)).collect();
+                    let threats = [Vec2::new(rng.gen_range(-8.0..8.0), 0.0)];
+                    persist.evac_start(now, &states, &threats).unwrap();
+                    if let Some(ManagerAction::BroadcastBlock(block)) =
+                        live.evacuation_block(&states, &threats, now)
+                    {
+                        persist.commit_block(&block, true).unwrap();
+                        persist.broadcasted(block.index()).unwrap();
+                        coverage.evacuations += 1;
+                    }
+                }
+                2 => {
+                    let before = live.ledger();
+                    let report = crate::messages::IncidentReport {
+                        reporter: VehicleId::new(rng.gen_range(0..24u64)),
+                        suspect: VehicleId::new(rng.gen_range(0..24u64)),
+                        evidence: crate::messages::Observation {
+                            target: VehicleId::new(0),
+                            position: Vec2::ZERO,
+                            speed: 0.0,
+                            time: now,
+                        },
+                        block_index: 0,
+                    };
+                    let watchers: Vec<VehicleId> =
+                        (30..rng.gen_range(30..34u64)).map(VehicleId::new).collect();
+                    live.on_incident_report(&report, &watchers, now);
+                    if let Some(change) = live.ledger().since(&before) {
+                        persist.ledger(&change).unwrap();
+                        coverage.ledger_changes += 1;
+                    }
+                }
+                kind => {
+                    // Conflicting batches land on a half-second mark.
+                    if kind <= 4 {
+                        now += 0.5;
+                    }
+                    let mut requests: Vec<PlanRequest> = (0..rng.gen_range(1..6))
+                        .map(|_| random_request(&mut rng))
+                        .collect();
+                    if kind == 5 {
+                        requests.push(requests[0].clone());
+                    }
+                    let mut ids: Vec<VehicleId> = requests.iter().map(|r| r.id).collect();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    coverage.twice_listed += usize::from(ids.len() < requests.len());
+                    persist.window_start(now, &requests).unwrap();
+                    let action = live.on_window(&requests, now);
+                    if last {
+                        // The crash window: nothing after its stage record.
+                        coverage.trailing += 1;
+                        break;
+                    }
+                    match action {
+                        Some(ManagerAction::BroadcastBlock(block)) => {
+                            coverage.drops += requests.len() - block.plans().len();
+                            persist.commit_block(&block, true).unwrap();
+                            if rng.gen_bool(0.7) {
+                                persist.broadcasted(block.index()).unwrap();
+                            }
+                        }
+                        _ => coverage.blockless += 1,
+                    }
+                    coverage.snapshots += usize::from(persist.window_end(&live).unwrap());
+                    now = now.floor();
+                }
+            }
+        }
+        (live, handle)
+    }
+
+    /// Replay adopts committed blocks; the oracle re-executes every
+    /// stage. Over random logs they reach the same durable state after
+    /// every record (once a stage record's outcome is known) and owe the
+    /// fleet the same blocks at the end, and both equal the primary.
+    #[test]
+    fn adopting_committed_blocks_equals_re_executing_them() {
+        let mut coverage = Coverage::default();
+        for seed in 0..12 {
+            let (live, handle) = random_log(seed, &mut coverage);
+            let (_, opened) = Wal::open(Box::new(handle.fork())).unwrap();
+            let mut adopted = conflicting_manager();
+            let mut replay = Replay::default();
+            let mut oracle = conflicting_manager();
+            let mut reexecute = Reexecute::default();
+            for (i, payload) in opened.records.iter().enumerate() {
+                let record = WalRecord::decode(payload).expect("record decodes");
+                replay
+                    .apply(&mut adopted, record.clone())
+                    .unwrap_or_else(|e| panic!("seed {seed}, record {i}: {e}"));
+                reexecute
+                    .apply(&mut oracle, record)
+                    .unwrap_or_else(|e| panic!("oracle, seed {seed}, record {i}: {e}"));
+                if replay.stage.is_none() {
+                    assert_eq!(
+                        adopted.durable_state(),
+                        oracle.durable_state(),
+                        "seed {seed}, record {i}"
+                    );
+                }
+            }
+            replay.execute_trailing(&mut adopted);
+            assert_eq!(
+                adopted.durable_state(),
+                oracle.durable_state(),
+                "seed {seed}"
+            );
+            assert_eq!(adopted.durable_state(), live.durable_state(), "seed {seed}");
+            assert_eq!(replay.finish(), reexecute.finish(), "seed {seed}");
+        }
+        // Every path of the adopt rule ran.
+        assert!(coverage.drops > 0, "{coverage:?}");
+        assert!(coverage.blockless > 0, "{coverage:?}");
+        assert!(coverage.evacuations > 0, "{coverage:?}");
+        assert!(coverage.twice_listed > 0, "{coverage:?}");
+        assert!(coverage.ledger_changes > 0, "{coverage:?}");
+        assert!(coverage.snapshots > 0, "{coverage:?}");
+        assert!(coverage.trailing > 0, "{coverage:?}");
+    }
+
+    #[test]
+    fn commit_that_does_not_extend_the_chain_diverges() {
+        let mut live = manager();
+        let requests = [request(0), request(1)];
+        let Some(ManagerAction::BroadcastBlock(b0)) = live.on_window(&requests, 0.0) else {
+            panic!("expected a block");
+        };
+        let later = [request(2)];
+        let Some(ManagerAction::BroadcastBlock(b1)) = live.on_window(&later, 1.0) else {
+            panic!("expected a block");
+        };
+        let start = |requests: &[PlanRequest], now| WalRecord::WindowStart {
+            now,
+            requests: requests.to_vec(),
+        };
+        // Block 1 where block 0 belongs.
+        let mut replay = Replay::default();
+        let mut m = manager();
+        replay.apply(&mut m, start(&requests, 0.0)).unwrap();
+        assert!(replay.apply(&mut m, WalRecord::Commit(b1.clone())).is_err());
+        // A block planning a vehicle its window never requested.
+        let mut replay = Replay::default();
+        let mut m = manager();
+        replay.apply(&mut m, start(&later, 0.0)).unwrap();
+        assert!(replay.apply(&mut m, WalRecord::Commit(b0.clone())).is_err());
+        // A block whose plans do not match its root.
+        let forged = Block::from_parts(
+            b0.index(),
+            b0.signature().to_vec(),
+            b0.prev_hash(),
+            b0.timestamp(),
+            b1.merkle_root(),
+            b0.plans().to_vec(),
+        );
+        let mut replay = Replay::default();
+        let mut m = manager();
+        replay.apply(&mut m, start(&requests, 0.0)).unwrap();
+        assert!(replay.apply(&mut m, WalRecord::Commit(forged)).is_err());
+        assert_eq!(m.durable_state(), manager().durable_state(), "unchanged");
+    }
+
+    #[test]
+    fn ledger_changes_survive_warm_recovery() {
+        let handle = MemBackend::new();
+        let (mut persist, mut live, _) = attach_fresh(&handle);
+        drive(&mut persist, &mut live, 0..2);
+        let before = live.ledger();
+        let report = crate::messages::IncidentReport {
+            reporter: VehicleId::new(1),
+            suspect: VehicleId::new(2),
+            evidence: crate::messages::Observation {
+                target: VehicleId::new(2),
+                position: Vec2::ZERO,
+                speed: 0.0,
+                time: 8.0,
+            },
+            block_index: 0,
+        };
+        // No watcher to poll: the report confirms the suspect at once.
+        live.on_incident_report(&report, &[], 8.0);
+        live.note_reporter_history(VehicleId::new(3), 2);
+        let change = live.ledger().since(&before).expect("the ledger changed");
+        assert_eq!(change.confirmed, vec![VehicleId::new(2)]);
+        assert_eq!(change.false_reporters, vec![(VehicleId::new(3), 2)]);
+        persist.ledger(&change).unwrap();
+        drive(&mut persist, &mut live, 2..4); // snapshots at window 4
+        drop(persist);
+
+        let (_, recovered, outcome) = attach_fresh(&handle);
+        assert!(matches!(outcome, RecoveryOutcome::Warm(_)), "{outcome:?}");
+        assert_eq!(recovered.durable_state(), live.durable_state());
+        assert_eq!(recovered.confirmed_malicious(), &[VehicleId::new(2)]);
     }
 }

@@ -8,8 +8,13 @@
 //! every record to the replay loop warm recovery runs
 //! (`ImPersistence::attach` in [`crate::persist`]) — one loop, so the
 //! replica *converges by construction*: at any instant its manager
-//! equals what `attach` would reconstruct from the durable log, and
-//! every in-stream snapshot doubles as a full-state convergence check.
+//! equals what `attach` would reconstruct from the durable log (a
+//! trailing stage record waits for the record after it, and runs at
+//! promotion if none comes), and every in-stream snapshot doubles as a
+//! full-state convergence check. The loop adopts committed blocks and
+//! re-executes only stages with no commit, so the standby checks and
+//! books each of the primary's blocks instead of scheduling and signing
+//! the window a second time.
 //!
 //! **Promotion** is driven by a heartbeat monitor built on
 //! [`Retrier`]-style deterministic jitter: each heartbeat interval that
@@ -225,9 +230,10 @@ impl StandbyManager {
     /// frames its scan read, or, once diverged, every frame read since
     /// the divergence.
     ///
-    /// Divergence (an undecodable record, a replayed block that misses
-    /// its `Commit` hash, a snapshot that disagrees with the replica's
-    /// own state, a frame that fails its checksum) does not error — it
+    /// Divergence (an undecodable record, a committed block that does
+    /// not extend the replica's chain, a snapshot that disagrees with the
+    /// replica's own state, a frame that fails its checksum) does not
+    /// error — it
     /// marks the standby [`StandbyManager::diverged`], which turns a
     /// later promotion into a cold fallback instead of promoting a wrong
     /// replica. A diverged standby still reads the log, to measure its
@@ -343,8 +349,10 @@ impl StandbyManager {
 
     /// Takes over as primary.
     ///
-    /// Drains the log one final time, moves the manager to fencing
-    /// epoch `old + 1`, re-seals the newest never-broadcast block under
+    /// Drains the log one final time, re-creates the block of a trailing
+    /// stage record the dead primary never committed, moves the manager
+    /// to fencing epoch `old + 1`, re-seals the newest never-broadcast
+    /// block under
     /// the new epoch (closing the double-signing window — see the
     /// module docs), adopts the device as a writer without a recovery
     /// scan, and appends the re-sealed commit plus a compaction
@@ -362,12 +370,14 @@ impl StandbyManager {
         if let Some(reason) = self.diverged {
             return Err(reason);
         }
-        let epoch = self.manager.fencing_epoch() + 1;
-        self.manager.set_fencing_epoch(epoch);
-
         // A trailing stage without a commit is the primary's crash
         // window: the block exists only in this replica now, so it joins
-        // the committed-but-unbroadcast blocks.
+        // the committed-but-unbroadcast blocks. It is sealed under the
+        // old epoch, as the primary would have sealed it, and re-sealed
+        // below.
+        self.replay.execute_trailing(&mut self.manager);
+        let epoch = self.manager.fencing_epoch() + 1;
+        self.manager.set_fencing_epoch(epoch);
         let mut unbroadcast = self.replay.finish();
 
         let mut persistence =

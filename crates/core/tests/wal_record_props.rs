@@ -5,7 +5,7 @@
 //! records, because a flipped byte can turn an `f64` field into NaN,
 //! which never equals itself.
 
-use nwade::{ManagerAction, NwadeConfig, NwadeManager, WalRecord};
+use nwade::{Ledger, ManagerAction, NwadeConfig, NwadeManager, WalRecord};
 use nwade_aim::{PlanRequest, ReservationScheduler, ReservationTable, SchedulerConfig};
 use nwade_crypto::MockScheme;
 use nwade_geometry::Vec2;
@@ -26,10 +26,10 @@ fn request(id: u64) -> PlanRequest {
     }
 }
 
-/// One encoding of each of the six record kinds. The snapshot comes
+/// One encoding of each of the seven record kinds. The snapshot comes
 /// from a manager that has sealed three windows, so it carries booked
 /// reservations, published plans and retained blocks; its ledgers are
-/// filled in by hand.
+/// filled in by hand. The commit carries the last of those blocks.
 fn samples() -> &'static [Vec<u8>] {
     static SAMPLES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     SAMPLES.get_or_init(|| {
@@ -74,16 +74,18 @@ fn samples() -> &'static [Vec<u8>] {
                 states: vec![request(8)],
                 threats: vec![Vec2::new(3.0, -4.0), Vec2::new(-1.5, 0.25)],
             },
-            WalRecord::Commit {
-                index: last.index(),
-                hash: last.hash(),
-            },
             WalRecord::Broadcasted {
                 index: last.index(),
             },
+            WalRecord::Commit(last),
             WalRecord::Release {
                 vehicle: VehicleId::new(5),
             },
+            WalRecord::Ledger(Ledger {
+                next_request_id: 2,
+                confirmed: vec![VehicleId::new(4)],
+                false_reporters: vec![(VehicleId::new(2), 3), (VehicleId::new(6), 1)],
+            }),
         ]
         .iter()
         .map(WalRecord::encode)

@@ -6,9 +6,10 @@
 //! what to send and when it is dark:
 //!
 //! - **Durability.** With `config.store.enabled`, every window, evacuation
-//!   plan, block commit, broadcast and vehicle release is logged to a
-//!   write-ahead log on an in-memory device through [`ImPersistence`]. A
-//!   device error turns durability off for the rest of the run.
+//!   plan, block commit, broadcast, vehicle release and report-ledger
+//!   change is logged to a write-ahead log on an in-memory device through
+//!   [`ImPersistence`]. A device error turns durability off for the rest
+//!   of the run.
 //! - **Outages.** A scheduled [`ImOutage`], or the cold downtime of a
 //!   crash, darkens the manager. The tick where the darkness ends restarts
 //!   it: warm from the WAL when the store can rebuild it, cold otherwise.
@@ -208,7 +209,7 @@ impl ImuAgent {
         &self.manager
     }
 
-    /// Mutable access for calls outside the lifecycle: ledger and anchor
+    /// Mutable access for calls outside the lifecycle: anchor and FSM
     /// bookkeeping, and bench drivers that bypass persistence.
     pub(crate) fn manager_mut(&mut self) -> &mut NwadeManager {
         &mut self.manager
@@ -277,21 +278,18 @@ impl ImuAgent {
         metrics: &mut SimMetrics,
     ) -> Vec<ManagerAction> {
         self.log("window start", |p, _| p.window_start(now, requests));
-        let actions = self.on_window(requests, now);
+        let sealed = self.seal(requests, now);
         if let Some(plan) = self.due_crash(now) {
-            let staged = actions.into_iter().find_map(|a| match a {
-                ManagerAction::BroadcastBlock(b) => Some(b),
-                _ => None,
-            });
-            return self.crash(plan, staged, now, metrics);
-        }
-        for action in &actions {
-            if let ManagerAction::BroadcastBlock(block) = action {
-                self.log("block commit", |p, _| p.commit_block(block, true));
-            }
+            return self.crash(plan, sealed.map(|(block, _)| block), now, metrics);
         }
         self.window_open = true;
-        actions
+        let Some((block, aired)) = sealed else {
+            return Vec::new();
+        };
+        // The log carries the block the manager sealed, never a tampered
+        // copy, so that replay reaches the manager's own state.
+        self.log("block commit", |p, _| p.commit_block(&block, true));
+        vec![ManagerAction::BroadcastBlock(aired)]
     }
 
     /// Ends the window [`ImuAgent::window`] sealed, once its blocks are
@@ -340,6 +338,26 @@ impl ImuAgent {
             p.broadcasted(block.index())
         });
         Some(block)
+    }
+
+    /// Runs a manager handler that may change the report ledger, and
+    /// logs the change it made.
+    fn ledgered<T>(&mut self, handler: impl FnOnce(&mut NwadeManager) -> T) -> T {
+        if self.durable.persistence.is_none() {
+            return handler(&mut self.manager);
+        }
+        let before = self.manager.ledger();
+        let out = handler(&mut self.manager);
+        if let Some(change) = self.manager.ledger().since(&before) {
+            self.log("ledger record", |p, _| p.ledger(&change));
+        }
+        out
+    }
+
+    /// Seeds a handed-off reporter's false-alarm history from the
+    /// neighbour's ledger (see [`NwadeManager::note_reporter_history`]).
+    pub(crate) fn note_reporter_history(&mut self, reporter: VehicleId, count: u32) {
+        self.ledgered(|m| m.note_reporter_history(reporter, count));
     }
 
     /// Runs one WAL write. A device error turns durability off for the
@@ -544,16 +562,24 @@ impl ImuAgent {
         self.was_down = true;
     }
 
-    /// Processes one scheduling window, with no logging and no crash. A
-    /// malicious manager with `corrupt_next_block` set substitutes
-    /// conflicting plans into the properly signed block (it holds the
-    /// key); the swap fires at most once per run.
+    /// Processes one scheduling window, with no logging and no crash,
+    /// and returns the block that goes on the air.
     pub fn on_window(&mut self, requests: &[PlanRequest], now: f64) -> Vec<ManagerAction> {
-        let Some(action) = self.manager.on_window(requests, now) else {
-            return Vec::new();
-        };
-        let ManagerAction::BroadcastBlock(block) = action else {
-            return vec![action];
+        self.seal(requests, now)
+            .map(|(_, aired)| ManagerAction::BroadcastBlock(aired))
+            .into_iter()
+            .collect()
+    }
+
+    /// Runs the manager's window. Returns the block it sealed and the
+    /// block that goes on the air: the same block, unless a malicious
+    /// manager with `corrupt_next_block` set substitutes conflicting
+    /// plans into the properly signed block (it holds the key). The swap
+    /// fires at most once per run.
+    fn seal(&mut self, requests: &[PlanRequest], now: f64) -> Option<(Block, Block)> {
+        let Some(ManagerAction::BroadcastBlock(block)) = self.manager.on_window(requests, now)
+        else {
+            return None;
         };
         if self.malicious && self.corrupt_next_block && !self.corruption_emitted {
             if let Some(bad_plans) = corrupt::make_conflicting(block.plans(), &self.topology, now) {
@@ -561,11 +587,11 @@ impl ImuAgent {
                 self.corrupt_next_block = false;
                 let evil = tamper::resign_with_plans(&block, bad_plans, self.signer.as_ref());
                 self.corrupted_index = Some(evil.index());
-                return vec![ManagerAction::BroadcastBlock(evil)];
+                return Some((block, evil));
             }
             // Not enough crossing traffic in this window; try the next.
         }
-        vec![ManagerAction::BroadcastBlock(block)]
+        Some((block.clone(), block))
     }
 
     /// Handles an incident report. The malicious manager dismisses
@@ -597,8 +623,7 @@ impl ImuAgent {
                 }];
             }
         }
-        self.manager
-            .on_incident_report(report, nearby_watchers, now)
+        self.ledgered(|m| m.on_incident_report(report, nearby_watchers, now))
     }
 
     /// Handles a watcher's verify-response (ignored by a malicious
@@ -615,14 +640,16 @@ impl ImuAgent {
         if self.malicious {
             return Vec::new();
         }
-        self.manager.on_verify_response(
-            request_id,
-            suspect,
-            observed,
-            abnormal,
-            fresh_candidates,
-            now,
-        )
+        self.ledgered(|m| {
+            m.on_verify_response(
+                request_id,
+                suspect,
+                observed,
+                abnormal,
+                fresh_candidates,
+                now,
+            )
+        })
     }
 }
 
@@ -768,6 +795,63 @@ mod tests {
         assert_eq!(metrics.standby_max_lag_records, records_after - records);
         let standby = a.durable.standby.as_ref().expect("standby enabled");
         assert!(standby.diverged().is_some(), "then diverged");
+    }
+
+    /// A malicious manager broadcasts a tampered copy of the block it
+    /// sealed, but logs the sealed block, so replay reaches the
+    /// manager's own state. The standby stays converged through the
+    /// tampered window, and a crash right after it recovers warm to the
+    /// state the dying manager held.
+    #[test]
+    fn tampered_window_replays_to_the_sealed_block() {
+        let mut config = SimConfig::default();
+        config.standby.enabled = true;
+        config.im_crash = Some(CrashPlan {
+            at: 2.0,
+            point: CrashPoint::AfterCommit,
+            cold_downtime: 10.0,
+        });
+        let topo = Arc::new(build(config.kind, &config.geometry));
+        let mut a = ImuAgent::new(&config, topo, Arc::new(MockScheme::from_seed(0)));
+        a.malicious = true;
+        a.corrupt_next_block = true;
+        let mut metrics = SimMetrics::default();
+        let aired = a.window(&requests(8, 0), 0.0, &mut metrics);
+        a.window_end();
+        let [ManagerAction::BroadcastBlock(evil)] = aired.as_slice() else {
+            panic!("expected a broadcast, got {aired:?}");
+        };
+        assert!(a.corruption_emitted, "the window was tampered");
+        let sealed = a
+            .manager()
+            .retained_blocks()
+            .back()
+            .expect("sealed")
+            .clone();
+        assert_eq!(evil.index(), sealed.index());
+        assert_ne!(evil.hash(), sealed.hash());
+        a.broadcasted(evil.index());
+        a.begin_tick(1.0, &mut metrics, Vec::new);
+        let standby = a.durable.standby.as_ref().expect("standby enabled");
+        assert!(standby.diverged().is_none(), "{:?}", standby.diverged());
+        assert_eq!(
+            standby.manager().durable_state(),
+            a.manager().durable_state()
+        );
+
+        // The next window dies after its commit.
+        let next = requests(4, 100);
+        let mut dying = a.manager().clone();
+        let Some(ManagerAction::BroadcastBlock(owed)) = dying.on_window(&next, 2.0) else {
+            panic!("expected a block");
+        };
+        let recovered = a.window(&next, 2.0, &mut metrics);
+        assert_eq!((metrics.warm_recoveries, metrics.cold_recoveries), (1, 0));
+        assert_eq!(a.manager().durable_state(), dying.durable_state());
+        let [ManagerAction::BroadcastBlock(again)] = recovered.as_slice() else {
+            panic!("expected the committed block to rebroadcast, got {recovered:?}");
+        };
+        assert_eq!(again.hash(), owed.hash());
     }
 
     #[test]

@@ -864,7 +864,6 @@ impl Simulation {
             // Ledger standing follows the vehicle: the receiving manager
             // seeds its tally from the departing manager's.
             self.imu
-                .manager_mut()
                 .note_reporter_history(handoff.id, handoff.false_reports);
             let pos = agent.position(&self.topo);
             self.medium

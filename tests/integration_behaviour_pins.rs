@@ -26,7 +26,7 @@ use common::{assert_pinned, attack, config, sim_digest, ticks, StreamDigest};
 use nwade_repro::nwade::attack::{AttackSetting, ViolationKind};
 use nwade_repro::nwade::CrashPoint;
 use nwade_repro::sim::{
-    CityConfig, CityGrid, CrashPlan, ImOutage, SignatureChoice, SimConfig, Simulation,
+    CityConfig, CityGrid, CrashPlan, ImOutage, SignatureChoice, SimConfig, SimMetrics, Simulation,
 };
 
 /// Digest of a `shards`-shard ring city run for `base.duration`.
@@ -124,6 +124,11 @@ fn saturated_fleet_is_pinned() {
 /// the final recovery counters `state_hash` does not cover, all from one
 /// `run_with` pass.
 fn lifecycle_digest(config: SimConfig) -> u64 {
+    lifecycle_run(config).0
+}
+
+/// [`lifecycle_digest`], with the run's final metrics.
+fn lifecycle_run(config: SimConfig) -> (u64, SimMetrics) {
     config.validate().expect("scenario config valid");
     let mut digest = StreamDigest::new();
     let report = Simulation::new(config).run_with(|sim| digest.push(sim.state_hash()));
@@ -149,7 +154,7 @@ fn lifecycle_digest(config: SimConfig) -> u64 {
     for latency in [m.standby_promotion_latency, m.im_recovery_latency] {
         digest.push(latency.map_or(u64::MAX, f64::to_bits));
     }
-    digest.0
+    (digest.0, report.metrics)
 }
 
 /// About 100 simulated seconds of dense traffic. The sudden-stop attack
@@ -258,18 +263,23 @@ fn rsa_signed_promotion_is_pinned() {
 }
 
 /// The attack starts before the crash. Confirming the violator changes
-/// the manager's durable state without a WAL record, so the standby's
-/// replay disagrees with the next snapshot, the promotion is refused and
-/// the crash resolves on the cold path.
+/// the manager's report ledger, which a WAL record carries to the
+/// standby, so the standby's replay agrees with every snapshot and the
+/// standby promotes. Before ledger changes were logged, this standby
+/// diverged, the promotion was refused and the crash resolved on the
+/// cold path; the pin keeps that scenario's name.
 #[test]
 fn diverged_standby_is_pinned() {
     let mut c = process_loss_with_standby();
     c.attack = attack(AttackSetting::V1, ViolationKind::SuddenStop, 40.0);
-    assert_pinned(
-        "diverged-standby",
-        lifecycle_digest(c),
-        0xd0c7_03ae_5f15_5f22,
+    let (digest, m) = lifecycle_run(c);
+    assert!(m.violation_confirmed.is_some(), "the ledger changed");
+    assert_eq!(
+        (m.standby_promotions, m.cold_recoveries),
+        (1, 0),
+        "the standby promoted"
     );
+    assert_pinned("diverged-standby", digest, 0x92f5_73f6_dc50_506d);
 }
 
 /// A scheduled outage whose end restarts the manager warm from the

@@ -3,9 +3,10 @@
 //! budget — near-zero dark time, no timeout self-evacuations — and a
 //! zombie ex-primary that wakes up after the promotion must be fenced
 //! off: its late-sealed block rejected and counted, never committed.
+//! The managers of a city recover the same way as a single one.
 
 use nwade_repro::nwade::CrashPoint;
-use nwade_repro::sim::{CrashPlan, SimConfig, Simulation};
+use nwade_repro::sim::{CityConfig, CityGrid, CrashPlan, SimConfig, Simulation};
 
 fn standby_config(seed: u64) -> SimConfig {
     let mut config = SimConfig::default();
@@ -120,4 +121,58 @@ fn idle_standby_never_promotes_and_changes_nothing() {
     );
     assert_eq!(a.metrics.block_sizes, b.metrics.block_sizes);
     assert_eq!(a.metrics.exited, b.metrics.exited);
+}
+
+/// A crash at 30 s in both shards of a 2-shard ring city. Each shard
+/// anchors its neighbour's chain tip into its blocks, and no record
+/// logs those anchors on their own, so replay must adopt the committed
+/// blocks that carry them. A warm restart and a standby promotion then
+/// succeed in every shard, as for one intersection.
+#[test]
+fn city_shards_recover_warm_and_promote() {
+    for (point, standby) in [
+        (CrashPoint::AfterCommit, false),
+        (CrashPoint::ProcessLoss, true),
+    ] {
+        let mut base = SimConfig::default();
+        base.duration = 60.0;
+        base.seed = 5;
+        base.im_crash = Some(CrashPlan {
+            at: 30.0,
+            point,
+            cold_downtime: 15.0,
+        });
+        base.standby.enabled = standby;
+        base.standby.heartbeat_interval = 0.02;
+        base.standby.miss_bound = 3;
+        let ticks = (base.duration / base.dt).ceil() as u64;
+        let mut city = CityGrid::new(CityConfig::ring(2, base));
+        city.run_ticks(ticks);
+        assert_eq!(
+            city.anchor_mismatches(),
+            0,
+            "{point}: anchors audited clean"
+        );
+        city.check_conservation()
+            .unwrap_or_else(|e| panic!("{point}: {e}"));
+        for (i, shard) in city.shards().iter().enumerate() {
+            let m = shard.metrics_so_far();
+            let label = format!("{point}, shard {i}");
+            assert_eq!(m.im_crashes, 1, "{label}: the crash fired");
+            assert_eq!(m.cold_recoveries, 0, "{label}: no cold fallback");
+            if standby {
+                assert_eq!(m.standby_promotions, 1, "{label}: the standby took over");
+                assert!(m.standby_windows_applied > 0, "{label}");
+            } else {
+                assert_eq!(m.warm_recoveries, 1, "{label}: recovered warm");
+            }
+            let invariants = shard.invariants_so_far();
+            assert_eq!(
+                invariants.total(),
+                0,
+                "{label}: {:?}",
+                invariants.violations
+            );
+        }
+    }
 }
